@@ -35,7 +35,7 @@ from .minimality import (
     is_minimal,
     is_mu_multiplicative,
 )
-from .semidirect import ModuleOverAlgebra, build_semidirect, pairing
+from .semidirect import ModuleOverAlgebra, pairing
 
 
 def _load_structure(path) -> KModuleStructure:
@@ -138,22 +138,24 @@ def _cmd_semidirect(args) -> int:
     action = read_document(args.action)
     if not isinstance(action, KModuleStructure):
         raise DimensionError(f"{args.action}: expected a k-module document")
-    pair = ModuleOverAlgebra(algebra, action)
-    combined = build_semidirect(pair)
-    report = pairing(pair)
-    label = combined.label
+    report = pairing(ModuleOverAlgebra(algebra, action))
     by_rep = {piece.representative: piece for piece in report.components}
+    # Module vectors are numbered first, so each class's first label is its rep's.
+    labels = [
+        [f"v{i}" for i in piece.v_part] + [f"e{j}" for j in piece.a_part]
+        for piece in report.components
+    ]
     payload = {
-        "module_dim": combined.v_dim,
-        "algebra_dim": combined.a_dim,
+        "module_dim": action.module_dim,
+        "algebra_dim": algebra.dim,
         "components": [
             {
-                "representative": label(piece.representative),
-                "members": [label(i) for i in piece.members],
+                "representative": members[0],
+                "members": members,
                 "module_part": list(piece.v_part),
                 "algebra_part": list(piece.a_part),
             }
-            for piece in report.components
+            for piece, members in zip(report.components, labels)
         ],
         # A paired class can contain both module and algebra vectors, so
         # name each side by its own smallest member, not the shared rep.
@@ -170,8 +172,8 @@ def _cmd_semidirect(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(
-            f"combined structure: {combined.v_dim} module + "
-            f"{combined.a_dim} algebra basis vectors"
+            f"combined structure: {action.module_dim} module + "
+            f"{algebra.dim} algebra basis vectors"
         )
         print("components:")
         for piece in payload["components"]:

@@ -11,13 +11,13 @@ and exists purely as the slow cross-check for the fast path.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .core import (
+    MODULE_TAG,
     KModuleStructure,
     enumeration_budget,
     placement_module_multiset,
@@ -143,43 +143,63 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-@dataclass(frozen=True)
-class _StepIndex:
-    forward: dict
-    backward: dict
+def _table_edges(table) -> dict[tuple[int, int], tuple]:
+    """Each (occupant, target) pair of ``table`` and its smallest placement."""
+    edges: dict[tuple[int, int], tuple] = {}
+    for placement, (target, _) in table.items():
+        for tag, occupant in placement:
+            if tag == MODULE_TAG:
+                known = edges.get((occupant, target))
+                if known is None or placement < known:
+                    edges[occupant, target] = placement
+    return edges
 
 
-_INDEX_LOCK = threading.Lock()
+class _Index:
+    """Parts derived from one structure's table, each built on first use.
+    Threads that race on a part build equal values, so no lock is taken."""
+
+    def __init__(self, table):
+        self.table = table
+        self._edges = self._adjacency = self._steps = None
+
+    def edges(self) -> dict[tuple[int, int], tuple]:
+        if self._edges is None:
+            self._edges = _table_edges(self.table)
+        return self._edges
+
+    def adjacency(self) -> tuple[dict, dict]:
+        """Ascending successors and predecessors of every index."""
+        if self._adjacency is None:
+            outs: dict[int, list[int]] = {}
+            ins: dict[int, list[int]] = {}
+            for a, b in sorted(self.edges()):
+                outs.setdefault(a, []).append(b)
+                ins.setdefault(b, []).append(a)
+            self._adjacency = (outs, ins)
+        return self._adjacency
+
+    def steps(self) -> tuple[dict, dict]:
+        """Forward and backward ``mu`` images by (index, rest, spaces)."""
+        if self._steps is None:
+            forward: dict = {}
+            backward: dict = {}
+            for placement, (target, _) in self.table.items():
+                occupants = placement_module_multiset(placement)
+                spaces = placement_space_multiset(placement)
+                for position, occupant in enumerate(occupants):
+                    if position > 0 and occupants[position - 1] == occupant:
+                        continue  # each distinct occupant once
+                    rest = occupants[:position] + occupants[position + 1 :]
+                    forward.setdefault((occupant, rest, spaces), set()).add(target)
+                    backward.setdefault((target, rest, spaces), set()).add(occupant)
+            self._steps = (forward, backward)
+        return self._steps
 
 
-def _step_index(structure: KModuleStructure) -> _StepIndex:
-    # Double-checked so the index is built once even under concurrent use.
-    cached = structure.__dict__.get("_step_index")
-    if cached is None:
-        with _INDEX_LOCK:
-            cached = structure.__dict__.get("_step_index")
-            if cached is None:
-                cached = _build_step_index(structure)
-                structure.__dict__["_step_index"] = cached
-    return cached
-
-
-def _build_step_index(structure: KModuleStructure) -> _StepIndex:
-    forward: dict = {}
-    backward: dict = {}
-    for placement, (target, _) in structure.table.items():
-        occupants = placement_module_multiset(placement)
-        spaces = placement_space_multiset(placement)
-        for position, occupant in enumerate(occupants):
-            if position > 0 and occupants[position - 1] == occupant:
-                continue  # each distinct occupant once
-            rest = occupants[:position] + occupants[position + 1 :]
-            forward.setdefault((occupant, rest, spaces), set()).add(target)
-            backward.setdefault((target, rest, spaces), set()).add(occupant)
-    return _StepIndex(
-        {key: frozenset(value) for key, value in forward.items()},
-        {key: frozenset(value) for key, value in backward.items()},
-    )
+def _index_of(structure: KModuleStructure) -> _Index:
+    cache = structure.__dict__
+    return cache.get("_index") or cache.setdefault("_index", _Index(structure.table))
 
 
 def _check_step(structure: KModuleStructure, step: Step):
@@ -212,11 +232,9 @@ def mu(structure: KModuleStructure, index: int, step: Step) -> set[int]:
     ``index``.
     """
     _check_step(structure, step)
-    table_index = _step_index(structure)
-    key = (index, step.module_args, step.space_args)
-    if step.direction == FORWARD:
-        return set(table_index.forward.get(key, ()))
-    return set(table_index.backward.get(key, ()))
+    forward, backward = _index_of(structure).steps()
+    images = forward if step.direction == FORWARD else backward
+    return set(images.get((index, step.module_args, step.space_args), ()))
 
 
 def phi(structure: KModuleStructure, indices: Iterable[int], step: Step) -> set[int]:
@@ -228,13 +246,10 @@ def phi(structure: KModuleStructure, indices: Iterable[int], step: Step) -> set[
     return result
 
 
-def forward_edges(structure: KModuleStructure) -> set[tuple[int, int]]:
-    """Ordered pairs (occupant, target) realized by some table entry."""
-    edges = set()
-    for placement, (target, _) in structure.table.items():
-        for occupant in set(placement_module_multiset(placement)):
-            edges.add((occupant, target))
-    return edges
+def forward_edges(structure: KModuleStructure) -> AbstractSet[tuple[int, int]]:
+    """Ordered pairs (occupant, target) realized by some table entry,
+    as a read-only set view."""
+    return _index_of(structure).edges().keys()
 
 
 def components(structure: KModuleStructure) -> ComponentPartition:
@@ -343,20 +358,14 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
     return ComponentPartition(representatives)
 
 
-def _edge_step(structure: KModuleStructure, here: int, there: int) -> Step:
-    # Forward witnesses win; ties go to the smallest placement, which is
-    # exactly the order support() yields.
-    for placement, target, _ in support(structure):
-        occupants = placement_module_multiset(placement)
-        if target == there and here in occupants:
-            rest = _multiset_minus(occupants, (here,))
-            return Step(FORWARD, rest, placement_space_multiset(placement))
-    for placement, target, _ in support(structure):
-        occupants = placement_module_multiset(placement)
-        if target == here and there in occupants:
-            rest = _multiset_minus(occupants, (there,))
-            return Step(BACKWARD, rest, placement_space_multiset(placement))
-    raise AssertionError(f"edge {here}->{there} has no witness entry")
+def _edge_step(edges: dict, here: int, there: int) -> Step:
+    # Forward witnesses win; each edge keeps its smallest placement.
+    if (here, there) in edges:
+        placement, direction, moved = edges[here, there], FORWARD, here
+    else:
+        placement, direction, moved = edges[there, here], BACKWARD, there
+    rest = _multiset_minus(placement_module_multiset(placement), (moved,))
+    return Step(direction, rest, placement_space_multiset(placement))
 
 
 def find_connection(
@@ -372,17 +381,15 @@ def find_connection(
     _check_index(structure, target)
     if source == target:
         return Connection(source, ())
-    neighbors: dict[int, set[int]] = {}
-    for a, b in forward_edges(structure):
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
+    index = _index_of(structure)
+    outs, ins = index.adjacency()
     parent: dict[int, Optional[int]] = {source: None}
     queue = deque([source])
     while queue:
         node = queue.popleft()
         if node == target:
             break
-        for nxt in sorted(neighbors.get(node, ())):
+        for nxt in sorted(outs.get(node, []) + ins.get(node, [])):
             if nxt not in parent:
                 parent[nxt] = node
                 queue.append(nxt)
@@ -393,7 +400,7 @@ def find_connection(
         path.append(parent[path[-1]])
     path.reverse()
     steps = [
-        _edge_step(structure, here, there) for here, there in zip(path, path[1:])
+        _edge_step(index.edges(), here, there) for here, there in zip(path, path[1:])
     ]
     return Connection(source, steps)
 

@@ -19,7 +19,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CollisionError, DimensionError
 
@@ -64,8 +65,10 @@ class KModuleStructure:
 
     ``table`` maps a placement, i.e. an ordered length-n tuple of tagged
     slots ``("m", i)`` or ``("s", j)``, to the pair (target module
-    index, coefficient).  Instances are immutable after construction and
-    safe to share between threads.  The constructor normalizes entry
+    index, coefficient); the constructor copies it into a read-only
+    mapping, so instances are immutable, hash by value, and are safe to
+    share between threads.  Parts derived from the table are built once
+    per structure, on first use.  The constructor normalizes entry
     shapes but does not enforce invariants; ``validate`` reports every
     violation explicitly so that malformed data can be inspected.
     """
@@ -74,14 +77,22 @@ class KModuleStructure:
     k: int
     module_dim: int
     space_dim: int
-    table: dict
+    table: Mapping
 
     def __post_init__(self):
         normalized = {}
         for placement, (target, coeff) in self.table.items():
             key = tuple((tag, int(index)) for tag, index in placement)
             normalized[key] = (int(target), Fraction(coeff))
-        object.__setattr__(self, "table", normalized)
+        object.__setattr__(self, "table", MappingProxyType(normalized))
+
+    def __hash__(self):
+        fields = (self.n, self.k, self.module_dim, self.space_dim)
+        return hash((fields, frozenset(self.table.items())))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        fields = (self.n, self.k, self.module_dim, self.space_dim)
+        return KModuleStructure, (*fields, dict(self.table))
 
 
 @dataclass(frozen=True)
@@ -89,18 +100,24 @@ class NAryAlgebra:
     """Sparse n-ary product table on a single basis (indices 0..dim-1).
 
     Keys are ordered index tuples of length n; values are (target index,
-    coefficient) pairs, and absent keys multiply to zero.
+    coefficient) pairs, absent keys multiply to zero, and the table is read-only.
     """
 
     n: int
     dim: int
-    table: dict
+    table: Mapping
 
     def __post_init__(self):
         normalized = {}
         for key, (target, coeff) in self.table.items():
             normalized[tuple(int(j) for j in key)] = (int(target), Fraction(coeff))
-        object.__setattr__(self, "table", normalized)
+        object.__setattr__(self, "table", MappingProxyType(normalized))
+
+    def __hash__(self):
+        return hash((self.n, self.dim, frozenset(self.table.items())))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return NAryAlgebra, (self.n, self.dim, dict(self.table))
 
     def entries(self) -> Iterator[tuple[tuple[int, ...], int, Fraction]]:
         """Deterministic iteration: keys in ascending lexicographic order."""

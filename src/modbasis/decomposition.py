@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .connections import ComponentPartition, components
+from .connections import ComponentPartition, _index_of, components
 from .core import (
     MODULE_TAG,
     KModuleStructure,
@@ -49,11 +49,8 @@ def decompose(structure: KModuleStructure) -> list[SubmoduleComponent]:
 def verify_submodule(structure: KModuleStructure, indices: Iterable[int]) -> bool:
     """True iff every entry touching the set lands inside the set."""
     inside = set(indices)
-    for placement, (target, _) in structure.table.items():
-        occupants = placement_module_multiset(placement)
-        if inside.intersection(occupants) and target not in inside:
-            return False
-    return True
+    successors = _index_of(structure).adjacency()[0]
+    return all(b in inside for a in inside for b in successors.get(a, ()))
 
 
 def verify_orthogonality(

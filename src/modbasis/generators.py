@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator
 
+from .connections import _table_edges
 from .core import (
     MODULE_TAG,
     SPACE_TAG,
@@ -109,14 +110,6 @@ def random_structure(spec: GenSpec) -> KModuleStructure:
     )
 
 
-def _edges_of(table: dict) -> set[tuple[int, int]]:
-    edges = set()
-    for placement, (target, _) in table.items():
-        for occupant in set(placement_module_multiset(placement)):
-            edges.add((occupant, target))
-    return edges
-
-
 def symmetrize(structure: KModuleStructure) -> KModuleStructure:
     """Complete the table so that every edge has a reverse edge.
 
@@ -133,7 +126,7 @@ def symmetrize(structure: KModuleStructure) -> KModuleStructure:
     """
     table = dict(structure.table)
     while True:
-        edges = _edges_of(table)
+        edges = _table_edges(table)
         missing = sorted((a, b) for (a, b) in edges if (b, a) not in edges)
         if not missing:
             break
@@ -161,8 +154,7 @@ def symmetrize(structure: KModuleStructure) -> KModuleStructure:
                     if candidate in table:
                         continue
                     table[candidate] = (here, Fraction(1))
-                    for occupant in set(placement_module_multiset(candidate)):
-                        edges.add((occupant, here))
+                    edges |= _table_edges({candidate: table[candidate]})
                     repaired = True
                     progress = True
                     break

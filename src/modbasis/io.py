@@ -99,15 +99,11 @@ def _decode_entries(doc: dict) -> list[tuple[tuple, int, Fraction]]:
     return entries
 
 
-def _assemble_k_module(doc: dict) -> KModuleStructure:
-    n = _int_field(doc, "n")
-    k = _int_field(doc, "k")
-    module_dim = _int_field(doc, "module_dim")
-    space_dim = _int_field(doc, "space_dim")
-    problems = []
+def _action_structure(header, entries, problems: list) -> KModuleStructure:
+    """Structure of the (position, entry) pairs; breaches go to ``problems``."""
     table = {}
     index_of = {}
-    for position, (placement, target, coeff) in enumerate(_decode_entries(doc)):
+    for position, (placement, target, coeff) in entries:
         if placement in table:
             problems.append(
                 f"entry {position}: duplicate of entry {index_of[placement]}"
@@ -115,23 +111,19 @@ def _assemble_k_module(doc: dict) -> KModuleStructure:
             continue
         table[placement] = (target, coeff)
         index_of[placement] = position
-    structure = KModuleStructure(n, k, module_dim, space_dim, table)
+    structure = KModuleStructure(*header, table)
     for violation in validate(structure):
         prefix = ""
         if violation.placement is not None:
             prefix = f"entry {index_of[violation.placement]}: "
         problems.append(prefix + violation.message)
-    if problems:
-        raise ValidationError(problems)
     return structure
 
 
-def _assemble_algebra(doc: dict) -> NAryAlgebra:
-    n = _int_field(doc, "n")
-    dim = _int_field(doc, "space_dim")
-    problems = []
+def _algebra_table(n: int, dim: int, entries, problems: list) -> dict:
+    """Algebra table of the (position, entry) pairs; breaches go to ``problems``."""
     table = {}
-    for position, (placement, target, coeff) in enumerate(_decode_entries(doc)):
+    for position, (placement, target, coeff) in entries:
         where = f"entry {position}"
         if len(placement) != n or any(tag != SPACE_TAG for tag, _ in placement):
             problems.append(f"{where}: algebra entries use {n} space slots")
@@ -147,16 +139,35 @@ def _assemble_algebra(doc: dict) -> NAryAlgebra:
             problems.append(f"{where}: duplicate product")
             continue
         table[key] = (target, coeff)
+    return table
+
+
+def _module_header(doc: dict) -> tuple[int, int, int, int]:
+    return tuple(_int_field(doc, name) for name in ("n", "k", "module_dim", "space_dim"))
+
+
+def _assemble_k_module(doc: dict) -> KModuleStructure:
+    header = _module_header(doc)
+    problems = []
+    structure = _action_structure(header, enumerate(_decode_entries(doc)), problems)
+    if problems:
+        raise ValidationError(problems)
+    return structure
+
+
+def _assemble_algebra(doc: dict) -> NAryAlgebra:
+    n = _int_field(doc, "n")
+    dim = _int_field(doc, "space_dim")
+    problems = []
+    table = _algebra_table(n, dim, enumerate(_decode_entries(doc)), problems)
     if problems:
         raise ValidationError(problems)
     return NAryAlgebra(n, dim, table)
 
 
 def _assemble_pair(doc: dict) -> ModuleOverAlgebra:
-    n = _int_field(doc, "n")
-    k = _int_field(doc, "k")
-    module_dim = _int_field(doc, "module_dim")
-    space_dim = _int_field(doc, "space_dim")
+    header = _module_header(doc)
+    n, _, _, space_dim = header
     action_entries = []
     algebra_entries = []
     for position, entry in enumerate(_decode_entries(doc)):
@@ -166,39 +177,8 @@ def _assemble_pair(doc: dict) -> ModuleOverAlgebra:
         else:
             action_entries.append((position, entry))
     problems = []
-    algebra_table = {}
-    for position, (placement, target, coeff) in algebra_entries:
-        where = f"entry {position}"
-        key = tuple(index for _, index in placement)
-        if len(key) != n:
-            problems.append(f"{where}: algebra entries use {n} space slots")
-            continue
-        if any(not 0 <= j < space_dim for j in key) or not 0 <= target < space_dim:
-            problems.append(f"{where}: index outside 0..{space_dim - 1}")
-            continue
-        if coeff == 0:
-            problems.append(f"{where}: stored coefficient is zero")
-            continue
-        if key in algebra_table:
-            problems.append(f"{where}: duplicate product")
-            continue
-        algebra_table[key] = (target, coeff)
-    action_table = {}
-    index_of = {}
-    for position, (placement, target, coeff) in action_entries:
-        if placement in action_table:
-            problems.append(
-                f"entry {position}: duplicate of entry {index_of[placement]}"
-            )
-            continue
-        action_table[placement] = (target, coeff)
-        index_of[placement] = position
-    action = KModuleStructure(n, k, module_dim, space_dim, action_table)
-    for violation in validate(action):
-        prefix = ""
-        if violation.placement is not None:
-            prefix = f"entry {index_of[violation.placement]}: "
-        problems.append(prefix + violation.message)
+    algebra_table = _algebra_table(n, space_dim, algebra_entries, problems)
+    action = _action_structure(header, action_entries, problems)
     if problems:
         raise ValidationError(problems)
     return ModuleOverAlgebra(NAryAlgebra(n, space_dim, algebra_table), action)

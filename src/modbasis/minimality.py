@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .connections import components, forward_edges
+from .connections import _index_of, components, forward_edges
 from .core import KModuleStructure
 from .errors import TheoremViolation
 
@@ -41,10 +41,19 @@ def is_mu_multiplicative(
     the verdict plus the sorted list of missing reverse pairs.
     """
     edges = forward_edges(structure)
-    missing = sorted(
-        {(b, a) for a, b in edges if (b, a) not in edges}
-    )
+    missing = sorted((b, a) for a, b in edges if (b, a) not in edges)
     return not missing, missing
+
+
+def _reach(adjacency: dict, start: int) -> set[int]:
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in adjacency.get(frontier.pop(), ()):
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return reached
 
 
 def directed_closure(structure: KModuleStructure, index: int) -> set[int]:
@@ -53,25 +62,19 @@ def directed_closure(structure: KModuleStructure, index: int) -> set[int]:
     Equivalently the least set through ``index`` that passes
     ``verify_submodule``.
     """
-    successors: dict[int, set[int]] = {}
-    for a, b in forward_edges(structure):
-        successors.setdefault(a, set()).add(b)
-    closure = {index}
-    frontier = [index]
-    while frontier:
-        node = frontier.pop()
-        for nxt in successors.get(node, ()):
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    return closure
+    return _reach(_index_of(structure).adjacency()[0], index)
 
 
 def is_minimal(structure: KModuleStructure) -> bool:
-    """True iff every index forward-reaches the entire index set."""
+    """True iff every index forward-reaches the entire index set.
+
+    That is strong connectivity, tested as forward and backward
+    reachability from index 0 (Tarjan 1972).
+    """
     everything = set(range(structure.module_dim))
-    return all(
-        directed_closure(structure, index) == everything for index in everything
+    return not everything or (
+        directed_closure(structure, 0) == everything
+        and everything <= _reach(_index_of(structure).adjacency()[1], 0)
     )
 
 

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
 from modbasis import (
+    BACKWARD,
     COEFFICIENT_POOL,
+    FORWARD,
+    Connection,
     GenSpec,
     KModuleStructure,
     ModuleOverAlgebra,
     NAryAlgebra,
     Step,
+    module_slot,
     placement_module_multiset,
     placement_space_multiset,
     random_structure,
+    space_slot,
     support,
 )
 
@@ -74,3 +80,104 @@ def support_steps(structure: KModuleStructure, direction: str) -> list[Step]:
             rest = occupants[:position] + occupants[position + 1 :]
             seen.add((rest, spaces))
     return [Step(direction, rest, spaces) for rest, spaces in sorted(seen)]
+
+
+def chain_table(seed: int, module_dim: int = 300, entries: int = 1200):
+    """Seeded n=3, k=2 table whose entries join nearby indices.
+
+    Classes are long chains, many edges have several witness entries
+    (other partner, space index or arrangement), and some placements
+    repeat an occupant.
+    """
+    rng = random.Random(seed)
+    table = {}
+    while len(table) < entries:
+        first = rng.randrange(module_dim)
+        partner = min(module_dim - 1, max(0, first + rng.randint(-2, 2)))
+        target = min(module_dim - 1, max(0, first + rng.randint(-3, 3)))
+        slots = [("m", first), ("m", partner), ("s", rng.randrange(2))]
+        rng.shuffle(slots)
+        table[tuple(slots)] = (target, rng.choice(COEFFICIENT_POOL))
+    return KModuleStructure(3, 2, module_dim, 2, table)
+
+
+def _without(occupants: tuple, index: int) -> tuple:
+    position = occupants.index(index)
+    return occupants[:position] + occupants[position + 1 :]
+
+
+def scan_step(rows: list, here: int, there: int) -> Step:
+    """Step for the hop here -> there found by scanning ``support`` rows.
+
+    ``rows`` holds (module occupants, space occupants, target) in
+    support order.  The first row whose product takes ``here`` to
+    ``there`` gives a forward step; only when there is none does the
+    first row taking ``there`` to ``here`` give a backward step.
+    """
+    for occupants, spaces, target in rows:
+        if target == there and here in occupants:
+            return Step(FORWARD, _without(occupants, here), spaces)
+    for occupants, spaces, target in rows:
+        if target == here and there in occupants:
+            return Step(BACKWARD, _without(occupants, there), spaces)
+    raise AssertionError(f"hop {here}->{there} has no witness row")
+
+
+def reference_connection(structure: KModuleStructure, source: int, target: int):
+    """``find_connection`` recomputed from ``support`` rows alone.
+
+    Breadth-first search over the symmetrized occupant-target pairs
+    with ascending neighbours, then ``scan_step`` for every hop.
+    """
+    rows = [
+        (placement_module_multiset(p), placement_space_multiset(p), reached)
+        for p, reached, _ in support(structure)
+    ]
+    neighbours: dict[int, set[int]] = {}
+    for occupants, _, reached in rows:
+        for occupant in occupants:
+            neighbours.setdefault(occupant, set()).add(reached)
+            neighbours.setdefault(reached, set()).add(occupant)
+    parent = {source: None}
+    queue = deque([source])
+    while queue and target not in parent:
+        node = queue.popleft()
+        for nxt in sorted(neighbours.get(node, ())):
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    if target not in parent:
+        return None
+    path = [target]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return Connection(source, [scan_step(rows, a, b) for a, b in zip(path, path[1:])])
+
+
+def one_way_table(seed: int, module_dim: int = 200, back_edges: bool = False):
+    """Seeded n=2, k=1 table in which index 0 forward-reaches everything.
+
+    Every edge runs from a smaller to a larger index, so nothing but 0
+    reaches 0.  With ``back_edges`` each index above 0 also feeds a
+    smaller one, which makes the edge graph strongly connected.
+    """
+    rng = random.Random(seed)
+    table = {}
+
+    def add(occupant, target):
+        free = []
+        for space in range(4):
+            slots = (module_slot(occupant), space_slot(space))
+            free += [p for p in (slots, slots[::-1]) if p not in table]
+        if free:
+            table[rng.choice(free)] = (target, Fraction(1))
+
+    for index in range(1, module_dim):
+        add(rng.randrange(max(0, index - 4), index), index)
+        if back_edges:
+            add(index, rng.randrange(index))
+    for _ in range(module_dim):
+        low = rng.randrange(module_dim - 1)
+        add(low, rng.randrange(low + 1, module_dim))
+    return KModuleStructure(2, 1, module_dim, 4, table)

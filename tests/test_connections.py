@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from itertools import chain, combinations
 
 import pytest
@@ -28,7 +31,7 @@ from modbasis import (
 from modbasis import module_slot as M, space_slot as S
 
 from conftest import make_e1, make_e2, make_e3
-from helpers import support_steps
+from helpers import chain_table, reference_connection, support_steps
 
 
 def test_step_normalizes_argument_order():
@@ -276,3 +279,59 @@ def test_connected_pairs_equal_partition(e1, e2):
             for j in range(structure.module_dim):
                 witness = find_connection(structure, i, j)
                 assert (witness is not None) == partition.same_class(i, j)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_connection_matches_support_scan_on_large_tables(seed):
+    structure = chain_table(seed)
+    rng = random.Random(seed)
+    dim = structure.module_dim
+    pairs = [(rng.randrange(dim), rng.randrange(dim)) for _ in range(20)]
+    pairs += [(a, min(dim - 1, a + rng.randint(1, 40))) for a, _ in pairs]
+    connected = 0
+    for source, target in pairs:
+        expected = reference_connection(structure, source, target)
+        found = find_connection(structure, source, target)
+        if expected is None:
+            assert found is None, (source, target)
+            continue
+        connected += 1
+        assert len(found.steps) == len(expected.steps), (source, target)
+        for number, (step, reference) in enumerate(zip(found.steps, expected.steps)):
+            assert step == reference, (source, target, number)
+        assert verify_connection(structure, found, target)
+    assert connected >= len(pairs) // 4
+
+
+def test_threads_racing_on_a_fresh_structure_agree():
+    pairs = [(0, 299), (17, 160), (42, 43)]
+    reference = chain_table(5)
+    expected = (
+        components(reference),
+        [find_connection(reference, a, b) for a, b in pairs],
+    )
+    structure = chain_table(5)
+    workers = 8
+    start = threading.Barrier(workers)
+    results = []
+
+    def work():
+        start.wait(timeout=60)
+        chains = [find_connection(structure, a, b) for a, b in pairs]
+        replays = [
+            verify_connection(structure, c, b) for (_, b), c in zip(pairs, chains)
+        ]
+        results.append(((components(structure), chains), replays))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [(expected, [True] * len(pairs))] * workers

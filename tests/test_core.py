@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from modbasis import (
+    FORWARD,
     CollisionError,
     DimensionError,
     KModuleStructure,
     SigmaEntry,
+    Step,
+    components,
     evaluate,
     from_sigma_entries,
+    mu,
     placement_module_multiset,
     placement_space_multiset,
     support,
@@ -21,7 +26,7 @@ from modbasis import (
 )
 from modbasis import module_slot as M, space_slot as S
 
-from conftest import make_e1, make_e2, make_e3
+from conftest import make_e1, make_e2, make_e3, make_e4
 
 
 def _codes(report):
@@ -200,3 +205,29 @@ def test_structure_equality_ignores_coefficient_representation():
     a = KModuleStructure(2, 1, 1, 1, {(M(0), S(0)): (0, Fraction(2, 4))})
     b = KModuleStructure(2, 1, 1, 1, {(M(0), S(0)): (0, Fraction(1, 2))})
     assert a == b
+
+
+def test_tables_are_read_only_and_structures_hash(e1, e2):
+    assert mu(e1, 0, Step(FORWARD, (), (0,))) == {1}
+    assert len(components(e1).classes()) == 2
+    with pytest.raises(TypeError):
+        e1.table[(M(0), S(0))] = (2, 1)
+    with pytest.raises(TypeError):
+        del e1.table[(M(0), S(0))]
+    assert mu(e1, 0, Step(FORWARD, (), (0,))) == {1}
+    assert hash(e1) == hash(make_e1()) and e1 == make_e1()
+    assert len({e1, make_e1(), e2}) == 2
+    pair = make_e4()
+    with pytest.raises(TypeError):
+        pair.algebra.table[(0, 1)] = (0, 1)
+    assert hash(pair) == hash(make_e4()) and pair == make_e4()
+
+
+def test_structures_pickle_by_value(e1):
+    components(e1)
+    pair = make_e4()
+    for original in (e1, pair.algebra, pair.action, pair):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and hash(copy) == hash(original)
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(e1)).table[(M(0), S(0))] = (2, 1)

@@ -6,14 +6,24 @@ import pytest
 
 from modbasis import (
     KModuleStructure,
+    SymmetrizeConflict,
     TheoremViolation,
     check_minimality_equivalence,
     components,
     directed_closure,
     is_minimal,
     is_mu_multiplicative,
+    random_structure,
+    symmetrize,
 )
 from modbasis import module_slot as M, space_slot as S
+
+from helpers import corpus_spec, one_way_table
+
+
+def _every_closure_is_everything(structure):
+    everything = set(range(structure.module_dim))
+    return all(directed_closure(structure, i) == everything for i in everything)
 
 
 def test_fixtures_are_mu_multiplicative(e1, e2, e3):
@@ -101,3 +111,30 @@ def test_minimal_iff_single_component_when_symmetric(e1, e2, e3):
         assert ok
         single = len(components(structure).classes()) == 1
         assert is_minimal(structure) == single
+
+
+def test_is_minimal_equals_every_closure_on_corpus():
+    seen = set()
+    for index in range(200):
+        structure = random_structure(corpus_spec(index))
+        variants = [structure]
+        try:
+            variants.append(symmetrize(structure))
+        except SymmetrizeConflict:
+            pass
+        for variant in variants:
+            answer = is_minimal(variant)
+            assert answer == _every_closure_is_everything(variant), index
+            seen.add(answer)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_is_minimal_needs_the_way_back_to_zero(seed):
+    one_way = one_way_table(seed)
+    assert directed_closure(one_way, 0) == set(range(one_way.module_dim))
+    assert not is_minimal(one_way)
+    assert not _every_closure_is_everything(one_way)
+    both_ways = one_way_table(seed, back_edges=True)
+    assert is_minimal(both_ways)
+    assert _every_closure_is_everything(both_ways)
