@@ -76,11 +76,13 @@ class ComponentPartition:
 
     def __init__(self, representatives: Iterable[int]):
         reps = list(representatives)
-        # Normalize so that rep[i] really is the minimum of i's class.
-        smallest = {}
+        grouped: dict[int, list[int]] = {}
         for index, rep in enumerate(reps):
-            smallest[rep] = min(smallest.get(rep, index), index)
-        self._rep = tuple(smallest[rep] for rep in reps)
+            grouped.setdefault(rep, []).append(index)
+        # Members are grouped in ascending order, so each class's first
+        # member is its minimum, the name it gets.
+        self._rep = tuple(grouped[rep][0] for rep in reps)
+        self._classes = tuple(sorted(tuple(members) for members in grouped.values()))
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]):
@@ -104,10 +106,7 @@ class ComponentPartition:
         return tuple(i for i, r in enumerate(self._rep) if r == rep)
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
-        grouped = {}
-        for index, rep in enumerate(self._rep):
-            grouped.setdefault(rep, []).append(index)
-        return tuple(tuple(grouped[rep]) for rep in sorted(grouped))
+        return self._classes
 
     def __eq__(self, other):
         if not isinstance(other, ComponentPartition):
@@ -159,9 +158,10 @@ class _Index:
     """Parts derived from one structure's table, each built on first use.
     Threads that race on a part build equal values, so no lock is taken."""
 
-    def __init__(self, table):
+    def __init__(self, table, module_dim: int):
         self.table = table
-        self._edges = self._adjacency = self._steps = None
+        self.module_dim = module_dim
+        self._edges = self._adjacency = self._steps = self._partition = None
 
     def edges(self) -> dict[tuple[int, int], tuple]:
         if self._edges is None:
@@ -196,10 +196,18 @@ class _Index:
             self._steps = (forward, backward)
         return self._steps
 
+    def partition(self) -> ComponentPartition:
+        """Union-find over the symmetrized edges."""
+        if self._partition is None:
+            self._partition = ComponentPartition.from_pairs(self.module_dim, self.edges())
+        return self._partition
+
 
 def _index_of(structure: KModuleStructure) -> _Index:
     cache = structure.__dict__
-    return cache.get("_index") or cache.setdefault("_index", _Index(structure.table))
+    return cache.get("_index") or cache.setdefault(
+        "_index", _Index(structure.table, structure.module_dim)
+    )
 
 
 def _check_step(structure: KModuleStructure, step: Step):
@@ -258,7 +266,7 @@ def components(structure: KModuleStructure) -> ComponentPartition:
     This is the fast path; ``components_oracle`` recomputes the same
     partition by literal chain replay and the two must always agree.
     """
-    return ComponentPartition.from_pairs(structure.module_dim, forward_edges(structure))
+    return _index_of(structure).partition()
 
 
 def _all_steps(structure: KModuleStructure) -> list[Step]:

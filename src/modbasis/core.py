@@ -82,7 +82,7 @@ class KModuleStructure:
     def __post_init__(self):
         normalized = {}
         for placement, (target, coeff) in self.table.items():
-            key = tuple((tag, int(index)) for tag, index in placement)
+            key = tuple([(tag, int(index)) for tag, index in placement])
             normalized[key] = (int(target), Fraction(coeff))
         object.__setattr__(self, "table", MappingProxyType(normalized))
 
@@ -110,7 +110,7 @@ class NAryAlgebra:
     def __post_init__(self):
         normalized = {}
         for key, (target, coeff) in self.table.items():
-            normalized[tuple(int(j) for j in key)] = (int(target), Fraction(coeff))
+            normalized[tuple([int(j) for j in key])] = (int(target), Fraction(coeff))
         object.__setattr__(self, "table", MappingProxyType(normalized))
 
     def __hash__(self):

@@ -8,18 +8,17 @@ zero table.  All generation is deterministic in the seed.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator
 
-from .connections import _table_edges
 from .core import (
     MODULE_TAG,
     SPACE_TAG,
     KModuleStructure,
     enumeration_budget,
-    placement_module_multiset,
     placement_space_size,
 )
 from .errors import BudgetError, SymmetrizeConflict
@@ -110,6 +109,13 @@ def random_structure(spec: GenSpec) -> KModuleStructure:
     )
 
 
+def _add_witness(witnesses: dict, placement, target: int):
+    """File ``placement`` under each of its (module occupant, target) edges,
+    every list kept in ascending placement order."""
+    for occupant in {index for tag, index in placement if tag == MODULE_TAG}:
+        insort(witnesses.setdefault((occupant, target), []), placement)
+
+
 def symmetrize(structure: KModuleStructure) -> KModuleStructure:
     """Complete the table so that every edge has a reverse edge.
 
@@ -126,23 +132,19 @@ def symmetrize(structure: KModuleStructure) -> KModuleStructure:
     """
     table = dict(structure.table)
     while True:
-        edges = _table_edges(table)
-        missing = sorted((a, b) for (a, b) in edges if (b, a) not in edges)
+        witnesses: dict[tuple[int, int], list] = {}
+        for placement in sorted(table):
+            _add_witness(witnesses, placement, table[placement][0])
+        missing = sorted((a, b) for (a, b) in witnesses if (b, a) not in witnesses)
         if not missing:
             break
         progress = False
         stuck = []
         for here, there in missing:
-            if (there, here) in edges:
+            if (there, here) in witnesses:
                 continue  # repaired earlier in this pass
             repaired = False
-            witnesses = sorted(
-                placement
-                for placement, (target, _) in table.items()
-                if target == there
-                and here in placement_module_multiset(placement)
-            )
-            for witness in witnesses:
+            for witness in witnesses[here, there]:
                 for position, (tag, index) in enumerate(witness):
                     if tag != MODULE_TAG or index != here:
                         continue
@@ -154,7 +156,7 @@ def symmetrize(structure: KModuleStructure) -> KModuleStructure:
                     if candidate in table:
                         continue
                     table[candidate] = (here, Fraction(1))
-                    edges |= _table_edges({candidate: table[candidate]})
+                    _add_witness(witnesses, candidate, here)
                     repaired = True
                     progress = True
                     break

@@ -16,12 +16,17 @@ target) in a single list; the two are distinguishable because k is at
 least 1.  Output is canonical: entries sorted by slot sequence,
 lowest-term coefficients, fixed key order, two-space indentation, so
 write of read of write is byte-identical.
+
+The reader only checks the JSON shape of each entry and puts it, as
+written, into its table; the ``KModuleStructure`` and ``NAryAlgebra``
+constructors normalize it, and ``validate`` checks the action.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import re
+from operator import itemgetter
 from pathlib import Path
 
 from .connections import ComponentPartition, forward_edges
@@ -39,34 +44,12 @@ from .semidirect import ModuleOverAlgebra
 FORMAT_VERSION = 1
 
 _KINDS = ("k-module", "n-ary-algebra", "module-over-algebra")
+_HEADER = ("format_version", "kind", "n", "k", "module_dim", "space_dim")
 
-
-def _coeff_to_json(value: Fraction):
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _coeff_from_json(raw, where: str) -> Fraction:
-    if type(raw) is int:
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: bad coefficient {raw!r}: {exc}") from exc
-    raise SchemaError(f"{where}: coefficient must be an integer or 'p/q' string")
-
-
-def _slot_from_json(raw, where: str) -> tuple[str, int]:
-    if not isinstance(raw, dict) or len(raw) != 1:
-        raise SchemaError(f"{where}: slot must be a single-key object")
-    (tag, index), = raw.items()
-    if tag not in (MODULE_TAG, SPACE_TAG):
-        raise SchemaError(f"{where}: unknown slot tag {tag!r}")
-    if type(index) is not int:
-        raise SchemaError(f"{where}: slot index must be an integer")
-    return (tag, index)
+# "N" or "N/D", optionally negative, D nonzero.  A part may have at most
+# 4300 digits, CPython's int-to-str limit, so every value read can be
+# written back.
+_COEFF = re.compile(r"-?([0-9]{1,4300})(?:/(?=0*[1-9])[0-9]{1,4300})?")
 
 
 def _int_field(doc: dict, name: str) -> int:
@@ -76,125 +59,64 @@ def _int_field(doc: dict, name: str) -> int:
     return value
 
 
-def _decode_entries(doc: dict) -> list[tuple[tuple, int, Fraction]]:
-    raw_entries = doc.get("entries")
-    if not isinstance(raw_entries, list):
-        raise SchemaError("field 'entries' must be a list")
-    entries = []
-    for position, raw in enumerate(raw_entries):
-        where = f"entry {position}"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: must be an object")
-        slots = raw.get("slots")
-        if not isinstance(slots, list):
-            raise SchemaError(f"{where}: 'slots' must be a list")
-        placement = tuple(
-            _slot_from_json(slot, f"{where}, slot {i}") for i, slot in enumerate(slots)
+def _coeff(raw, position: int):
+    """The checked coefficient as written; every zero comes back as the
+    int 0, so ``== 0`` finds zeros before the constructor parses them."""
+    if type(raw) is int:
+        return raw
+    if not isinstance(raw, str):
+        raise SchemaError(
+            f"entry {position}: coefficient must be an integer or 'p/q' string"
         )
-        target = raw.get("target")
-        if type(target) is not int:
-            raise SchemaError(f"{where}: 'target' must be an integer")
-        coeff = _coeff_from_json(raw.get("coeff"), where)
-        entries.append((placement, target, coeff))
-    return entries
+    match = _COEFF.fullmatch(raw)
+    if match is None:
+        raise SchemaError(
+            f"entry {position}: bad coefficient {raw!r}: expected an integer "
+            "or 'p/q', q nonzero, at most 4300 digits each"
+        )
+    return raw if match[1].strip("0") else 0
 
 
-def _action_structure(header, entries, problems: list) -> KModuleStructure:
-    """Structure of the (position, entry) pairs; breaches go to ``problems``."""
-    table = {}
-    index_of = {}
-    for position, (placement, target, coeff) in entries:
-        if placement in table:
-            problems.append(
-                f"entry {position}: duplicate of entry {index_of[placement]}"
-            )
-            continue
-        table[placement] = (target, coeff)
-        index_of[placement] = position
-    structure = KModuleStructure(*header, table)
-    for violation in validate(structure):
-        prefix = ""
-        if violation.placement is not None:
-            prefix = f"entry {index_of[violation.placement]}: "
-        problems.append(prefix + violation.message)
-    return structure
-
-
-def _algebra_table(n: int, dim: int, entries, problems: list) -> dict:
-    """Algebra table of the (position, entry) pairs; breaches go to ``problems``."""
-    table = {}
-    for position, (placement, target, coeff) in entries:
-        where = f"entry {position}"
-        if len(placement) != n or any(tag != SPACE_TAG for tag, _ in placement):
-            problems.append(f"{where}: algebra entries use {n} space slots")
-            continue
-        key = tuple(index for _, index in placement)
-        if any(not 0 <= j < dim for j in key) or not 0 <= target < dim:
-            problems.append(f"{where}: index outside 0..{dim - 1}")
-            continue
-        if coeff == 0:
-            problems.append(f"{where}: stored coefficient is zero")
-            continue
-        if key in table:
-            problems.append(f"{where}: duplicate product")
-            continue
-        table[key] = (target, coeff)
-    return table
-
-
-def _module_header(doc: dict) -> tuple[int, int, int, int]:
-    return tuple(_int_field(doc, name) for name in ("n", "k", "module_dim", "space_dim"))
-
-
-def _assemble_k_module(doc: dict) -> KModuleStructure:
-    header = _module_header(doc)
-    problems = []
-    structure = _action_structure(header, enumerate(_decode_entries(doc)), problems)
-    if problems:
-        raise ValidationError(problems)
-    return structure
-
-
-def _assemble_algebra(doc: dict) -> NAryAlgebra:
-    n = _int_field(doc, "n")
-    dim = _int_field(doc, "space_dim")
-    problems = []
-    table = _algebra_table(n, dim, enumerate(_decode_entries(doc)), problems)
-    if problems:
-        raise ValidationError(problems)
-    return NAryAlgebra(n, dim, table)
-
-
-def _assemble_pair(doc: dict) -> ModuleOverAlgebra:
-    header = _module_header(doc)
-    n, _, _, space_dim = header
-    action_entries = []
-    algebra_entries = []
-    for position, entry in enumerate(_decode_entries(doc)):
-        placement = entry[0]
-        if placement and all(tag == SPACE_TAG for tag, _ in placement):
-            algebra_entries.append((position, entry))
+def _entry(raw, position: int) -> tuple[tuple, int, object]:
+    """(placement, target, coeff) of one raw entry, its JSON shape checked."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"entry {position}: must be an object")
+    slots = raw.get("slots")
+    if not isinstance(slots, list):
+        raise SchemaError(f"entry {position}: 'slots' must be a list")
+    placement = []
+    for number, slot in enumerate(slots):
+        if not isinstance(slot, dict) or len(slot) != 1:
+            problem = "slot must be a single-key object"
         else:
-            action_entries.append((position, entry))
-    problems = []
-    algebra_table = _algebra_table(n, space_dim, algebra_entries, problems)
-    action = _action_structure(header, action_entries, problems)
-    if problems:
-        raise ValidationError(problems)
-    return ModuleOverAlgebra(NAryAlgebra(n, space_dim, algebra_table), action)
+            (tag, index), = slot.items()
+            if tag != MODULE_TAG and tag != SPACE_TAG:
+                problem = f"unknown slot tag {tag!r}"
+            elif type(index) is not int:
+                problem = "slot index must be an integer"
+            else:
+                placement.append((tag, index))
+                continue
+        raise SchemaError(f"entry {position}, slot {number}: {problem}")
+    target = raw.get("target")
+    if type(target) is not int:
+        raise SchemaError(f"entry {position}: 'target' must be an integer")
+    return tuple(placement), target, _coeff(raw.get("coeff"), position)
 
 
 def read_document(path):
     """Load a structure, algebra, or pair from a JSON document.
 
-    Raises ParseError for broken JSON, SchemaError for a malformed
+    Raises ParseError for unreadable JSON, SchemaError for a malformed
     document shape, and ValidationError, listing every breach, when the
     decoded data violates structural invariants.
     """
     text = Path(path).read_text(encoding="utf-8")
+    # Beside JSONDecodeError (a ValueError): nesting too deep raises
+    # RecursionError, an integer over 4300 digits a plain ValueError.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
@@ -203,61 +125,94 @@ def read_document(path):
             f"unsupported format_version {doc.get('format_version')!r}"
         )
     kind = doc.get("kind")
-    if kind == "k-module":
-        return _assemble_k_module(doc)
+    if kind not in _KINDS:
+        raise SchemaError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+    names = ("n", "space_dim") if kind == "n-ary-algebra" else _HEADER[2:]
+    header = [_int_field(doc, name) for name in names]
+    n, dim = header[0], header[-1]
+    raw_entries = doc.get("entries")
+    if not isinstance(raw_entries, list):
+        raise SchemaError("field 'entries' must be a list")
+
+    algebra, action, position_of = {}, {}, {}
+    algebra_problems, duplicates = [], []
+    for position, raw in enumerate(raw_entries):
+        placement, target, coeff = _entry(raw, position)
+        if kind == "k-module" or (
+            kind == "module-over-algebra"
+            and not (placement and all(tag == SPACE_TAG for tag, _ in placement))
+        ):
+            if placement in action:
+                duplicates.append(
+                    f"entry {position}: duplicate of entry {position_of[placement]}"
+                )
+            else:
+                action[placement] = (target, coeff)
+                position_of[placement] = position
+            continue
+        key = tuple(index for _, index in placement)
+        if len(placement) != n or any(tag != SPACE_TAG for tag, _ in placement):
+            problem = f"algebra entries use {n} space slots"
+        elif any(not 0 <= j < dim for j in key) or not 0 <= target < dim:
+            problem = f"index outside 0..{dim - 1}"
+        elif coeff == 0:
+            problem = "stored coefficient is zero"
+        elif key in algebra:
+            problem = "duplicate product"
+        else:
+            algebra[key] = (target, coeff)
+            continue
+        algebra_problems.append(f"entry {position}: {problem}")
+
     if kind == "n-ary-algebra":
-        return _assemble_algebra(doc)
+        if algebra_problems:
+            raise ValidationError(algebra_problems)
+        return NAryAlgebra(n, dim, algebra)
+    structure = KModuleStructure(*header, action)
+    problems = algebra_problems + duplicates
+    for violation in validate(structure):
+        prefix = ""
+        if violation.placement is not None:
+            prefix = f"entry {position_of[violation.placement]}: "
+        problems.append(prefix + violation.message)
+    if problems:
+        raise ValidationError(problems)
     if kind == "module-over-algebra":
-        return _assemble_pair(doc)
-    raise SchemaError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+        return ModuleOverAlgebra(NAryAlgebra(n, dim, algebra), structure)
+    return structure
 
 
-def _entry_json(placement, target, coeff) -> dict:
-    return {
-        "slots": [{tag: index} for tag, index in placement],
-        "target": target,
-        "coeff": _coeff_to_json(coeff),
-    }
+def _algebra_rows(algebra: NAryAlgebra):
+    for key, target, coeff in algebra.entries():
+        yield tuple((SPACE_TAG, j) for j in key), target, coeff
 
 
-def _document_for(obj) -> dict:
+def _header_and_rows(obj):
+    """Header values after format_version, and the entries sorted by placement."""
     if isinstance(obj, KModuleStructure):
-        header = ("k-module", obj.n, obj.k, obj.module_dim, obj.space_dim)
-        entries = [_entry_json(p, t, c) for p, t, c in support(obj)]
-    elif isinstance(obj, NAryAlgebra):
-        header = ("n-ary-algebra", obj.n, 0, 0, obj.dim)
-        entries = [
-            _entry_json(tuple((SPACE_TAG, j) for j in key), target, coeff)
-            for key, target, coeff in obj.entries()
-        ]
-    elif isinstance(obj, ModuleOverAlgebra):
+        return ("k-module", obj.n, obj.k, obj.module_dim, obj.space_dim), support(obj)
+    if isinstance(obj, NAryAlgebra):
+        return ("n-ary-algebra", obj.n, 0, 0, obj.dim), _algebra_rows(obj)
+    if isinstance(obj, ModuleOverAlgebra):
         action = obj.action
-        header = (
-            "module-over-algebra",
-            action.n,
-            action.k,
-            action.module_dim,
-            action.space_dim,
-        )
-        merged = [(p, t, c) for p, t, c in support(action)]
-        merged.extend(
-            (tuple((SPACE_TAG, j) for j in key), target, coeff)
-            for key, target, coeff in obj.algebra.entries()
-        )
-        merged.sort(key=lambda item: item[0])
-        entries = [_entry_json(p, t, c) for p, t, c in merged]
+        header = ("module-over-algebra", action.n, action.k, action.module_dim,
+                  action.space_dim)
+        rows = [*support(action), *_algebra_rows(obj.algebra)]
+        return header, sorted(rows, key=itemgetter(0))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _entry_line(placement, target, coeff) -> str:
+    slots = ", ".join([
+        f'{{"{tag}": {index}}}' if tag in (MODULE_TAG, SPACE_TAG)
+        else json.dumps({tag: index})
+        for tag, index in placement
+    ])
+    if coeff.denominator == 1:
+        value = coeff.numerator
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    kind, n, k, module_dim, space_dim = header
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "n": n,
-        "k": k,
-        "module_dim": module_dim,
-        "space_dim": space_dim,
-        "entries": entries,
-    }
+        value = f'"{coeff.numerator}/{coeff.denominator}"'
+    return f'    {{"slots": [{slots}], "target": {target}, "coeff": {value}}}'
 
 
 def dumps_document(obj) -> str:
@@ -266,19 +221,13 @@ def dumps_document(obj) -> str:
     Header fields come in a fixed order and every entry sits on its own
     line, so equal objects always serialize to identical bytes.
     """
-    doc = _document_for(obj)
+    header, rows = _header_and_rows(obj)
     lines = ["{"]
-    for name in ("format_version", "kind", "n", "k", "module_dim", "space_dim"):
-        lines.append(f'  "{name}": {json.dumps(doc[name])},')
-    if doc["entries"]:
-        lines.append('  "entries": [')
-        lines.append(
-            ",\n".join(
-                "    " + json.dumps(entry, separators=(", ", ": "))
-                for entry in doc["entries"]
-            )
-        )
-        lines.append("  ]")
+    for name, value in zip(_HEADER, (FORMAT_VERSION, *header)):
+        lines.append(f'  "{name}": {json.dumps(value)},')
+    entries = ",\n".join([_entry_line(*row) for row in rows])
+    if entries:
+        lines += ['  "entries": [', entries, "  ]"]
     else:
         lines.append('  "entries": []')
     lines.append("}")

@@ -17,6 +17,7 @@ from modbasis import (
     ModuleOverAlgebra,
     NAryAlgebra,
     Step,
+    SymmetrizeConflict,
     module_slot,
     placement_module_multiset,
     placement_space_multiset,
@@ -181,3 +182,52 @@ def one_way_table(seed: int, module_dim: int = 200, back_edges: bool = False):
         low = rng.randrange(module_dim - 1)
         add(low, rng.randrange(low + 1, module_dim))
     return KModuleStructure(2, 1, module_dim, 4, table)
+
+
+def reference_symmetrize(structure: KModuleStructure) -> KModuleStructure:
+    """``symmetrize`` recomputed by rescanning: every pass derives the
+    edge set afresh, and each missing edge's witnesses come from a scan
+    and sort of the whole current table."""
+
+    def edges_of(table):
+        return {
+            (index, target)
+            for placement, (target, _) in table.items()
+            for tag, index in placement
+            if tag == "m"
+        }
+
+    table = dict(structure.table)
+    while True:
+        edges = edges_of(table)
+        missing = sorted((a, b) for (a, b) in edges if (b, a) not in edges)
+        if not missing:
+            break
+        progress = False
+        stuck = []
+        for here, there in missing:
+            if (there, here) in edges:
+                continue
+            witnesses = sorted(
+                placement
+                for placement, (target, _) in table.items()
+                if target == there and here in placement_module_multiset(placement)
+            )
+            candidates = (
+                witness[:position] + (module_slot(there),) + witness[position + 1 :]
+                for witness in witnesses
+                for position, slot in enumerate(witness)
+                if slot == module_slot(here)
+            )
+            candidate = next((c for c in candidates if c not in table), None)
+            if candidate is None:
+                stuck.append((here, there))
+                continue
+            table[candidate] = (here, Fraction(1))
+            edges |= edges_of({candidate: table[candidate]})
+            progress = True
+        if not progress:
+            raise SymmetrizeConflict(stuck)
+    return KModuleStructure(
+        structure.n, structure.k, structure.module_dim, structure.space_dim, table
+    )

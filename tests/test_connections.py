@@ -317,11 +317,12 @@ def test_threads_racing_on_a_fresh_structure_agree():
 
     def work():
         start.wait(timeout=60)
+        partition = components(structure)
         chains = [find_connection(structure, a, b) for a, b in pairs]
         replays = [
             verify_connection(structure, c, b) for (_, b), c in zip(pairs, chains)
         ]
-        results.append(((components(structure), chains), replays))
+        results.append(((partition, chains), replays))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -335,3 +336,4 @@ def test_threads_racing_on_a_fresh_structure_agree():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [(expected, [True] * len(pairs))] * workers
+    assert components(structure) is components(structure)

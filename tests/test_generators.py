@@ -25,7 +25,7 @@ from modbasis import (
 from modbasis import module_slot as M, space_slot as S
 
 from conftest import make_e1, make_e1_one_way, make_e2
-from helpers import corpus_spec
+from helpers import corpus_spec, reference_symmetrize
 
 
 def test_random_structure_is_deterministic():
@@ -129,6 +129,33 @@ def test_symmetrize_random_batch():
         assert set(structure.table).issubset(repaired.table)
         assert validate(repaired) == []
     assert produced >= 20
+
+
+def _symmetrize_outcome(function, structure):
+    try:
+        return function(structure).table
+    except SymmetrizeConflict as exc:
+        return exc.edges
+
+
+def test_symmetrize_matches_rescanning_reference():
+    specs = [corpus_spec(index, salt=0x52) for index in range(150)]
+    specs += [
+        GenSpec(seed, 3, 2, 12, 3, Fraction(density, 100))
+        for seed in range(6)
+        for density in (2, 5, 10)
+    ]
+    specs += [GenSpec(seed, 2, 1, 40, 3, Fraction(1, 20)) for seed in range(6)]
+    conflicts = repaired = 0
+    for spec in specs:
+        structure = random_structure(spec)
+        expected = _symmetrize_outcome(reference_symmetrize, structure)
+        assert _symmetrize_outcome(symmetrize, structure) == expected, spec
+        if isinstance(expected, tuple):
+            conflicts += 1
+        elif len(expected) > len(structure.table):
+            repaired += 1
+    assert conflicts >= 10 and repaired >= 10
 
 
 def test_modular_family_matches_fixture(e2):

@@ -21,6 +21,7 @@ from modbasis import (
     write_document,
 )
 from modbasis import module_slot as M, space_slot as S
+from modbasis.cli import cli_main
 
 from conftest import make_e1, make_e2, make_e3, make_e4
 from helpers import corpus_spec, random_pair
@@ -121,6 +122,30 @@ def test_read_rejects_broken_json(tmp_path):
         read_document(path)
 
 
+def _cli_validate_fails_in_one_line(path, capsys) -> bool:
+    capsys.readouterr()
+    code = cli_main(["validate", str(path)])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    return code == 2 and not captured.out and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"format_version": 1, "kind": "k-module", "n": ' + "7" * 5000 + "}",
+    ],
+    ids=["nested-100000-deep", "integer-5000-digits"],
+)
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        read_document(path)
+    assert _cli_validate_fails_in_one_line(path, capsys)
+
+
 def _write_doc(tmp_path, mutate):
     doc = {
         "format_version": 1,
@@ -158,6 +183,46 @@ def _write_doc(tmp_path, mutate):
 def test_read_rejects_malformed_shapes(tmp_path, mutate):
     with pytest.raises(SchemaError):
         read_document(_write_doc(tmp_path, mutate))
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1e5000", "1.5", "+1", "1_000", "1/0", "-3/000", " 1", "1/-2", "0x10", "\u0661",
+     "", "9" * 4301, "1/" + "9" * 4301],
+    ids=lambda coeff: repr(coeff) if len(coeff) < 10 else f"{len(coeff)}-chars",
+)
+def test_read_rejects_coefficients_outside_the_grammar(tmp_path, capsys, coeff):
+    path = _write_doc(
+        tmp_path,
+        lambda d: d["entries"].append(
+            {"slots": [{"m": 1}, {"s": 0}], "target": 1, "coeff": coeff}
+        ),
+    )
+    with pytest.raises(SchemaError, match="^entry 1: bad coefficient"):
+        read_document(path)
+    assert _cli_validate_fails_in_one_line(path, capsys)
+
+
+def test_coefficient_grammar_edges(tmp_path):
+    def with_coeff(coeff):
+        return _write_doc(tmp_path, lambda d: d["entries"][0].update(coeff=coeff))
+
+    assert read_document(with_coeff("007/014")).table[(M(0), S(0))][1] == Fraction(1, 2)
+    for zero in ("-0", "00/7"):
+        with pytest.raises(ValidationError, match="stored coefficient is zero"):
+            read_document(with_coeff(zero))
+        algebra = tmp_path / "algebra.json"
+        write_document(NAryAlgebra(1, 1, {(0,): (0, 1)}), algebra)
+        algebra.write_text(algebra.read_text().replace('"coeff": 1', f'"coeff": "{zero}"'))
+        with pytest.raises(ValidationError, match="^entry 0: stored coefficient is zero$"):
+            read_document(algebra)
+    # 4300 digits a part is the most that reads, and it writes back.
+    widest = "-" + "9" * 4300 + "/" + "7" * 4300
+    loaded = read_document(with_coeff(widest))
+    assert loaded.table[(M(0), S(0))][1] == Fraction(widest)
+    path = tmp_path / "widest.json"
+    write_document(loaded, path)
+    assert read_document(path) == loaded
 
 
 def test_read_rejects_invariant_breaches_with_entry_index(tmp_path):
