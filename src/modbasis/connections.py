@@ -169,11 +169,12 @@ class _Index:
         return self._edges
 
     def adjacency(self) -> tuple[dict, dict]:
-        """Ascending successors and predecessors of every index."""
+        """Successors and predecessors of every index, in no set order;
+        readers that need an order sort a node's neighbours themselves."""
         if self._adjacency is None:
             outs: dict[int, list[int]] = {}
             ins: dict[int, list[int]] = {}
-            for a, b in sorted(self.edges()):
+            for a, b in self.edges():
                 outs.setdefault(a, []).append(b)
                 ins.setdefault(b, []).append(a)
             self._adjacency = (outs, ins)

@@ -59,6 +59,14 @@ def placement_space_size(n: int, k: int, module_dim: int, space_dim: int) -> int
     return comb(n, k) * module_dim**k * space_dim ** (n - k)
 
 
+def _freeze_table(self) -> None:
+    """``__post_init__`` of both table classes: a read-only copy of the table,
+    each coefficient converted to ``Fraction``, keys and targets as given."""
+    table = {key: (target, Fraction(coeff))
+             for key, (target, coeff) in self.table.items()}
+    object.__setattr__(self, "table", MappingProxyType(table))
+
+
 @dataclass(frozen=True)
 class KModuleStructure:
     """Sparse product table of an arity-n map with k module slots.
@@ -68,9 +76,10 @@ class KModuleStructure:
     index, coefficient); the constructor copies it into a read-only
     mapping, so instances are immutable, hash by value, and are safe to
     share between threads.  Parts derived from the table are built once
-    per structure, on first use.  The constructor normalizes entry
-    shapes but does not enforce invariants; ``validate`` reports every
-    violation explicitly so that malformed data can be inspected.
+    per structure, on first use.  The constructor converts coefficients
+    and enforces no invariant; ``validate`` checks keys and targets,
+    index types included, and reports every violation explicitly so
+    that malformed data can be inspected.
     """
 
     n: int
@@ -79,12 +88,7 @@ class KModuleStructure:
     space_dim: int
     table: Mapping
 
-    def __post_init__(self):
-        normalized = {}
-        for placement, (target, coeff) in self.table.items():
-            key = tuple([(tag, int(index)) for tag, index in placement])
-            normalized[key] = (int(target), Fraction(coeff))
-        object.__setattr__(self, "table", MappingProxyType(normalized))
+    __post_init__ = _freeze_table
 
     def __hash__(self):
         fields = (self.n, self.k, self.module_dim, self.space_dim)
@@ -101,17 +105,14 @@ class NAryAlgebra:
 
     Keys are ordered index tuples of length n; values are (target index,
     coefficient) pairs, absent keys multiply to zero, and the table is read-only.
+    Like ``KModuleStructure``, the constructor converts only coefficients.
     """
 
     n: int
     dim: int
     table: Mapping
 
-    def __post_init__(self):
-        normalized = {}
-        for key, (target, coeff) in self.table.items():
-            normalized[tuple([int(j) for j in key])] = (int(target), Fraction(coeff))
-        object.__setattr__(self, "table", MappingProxyType(normalized))
+    __post_init__ = _freeze_table
 
     def __hash__(self):
         return hash((self.n, self.dim, frozenset(self.table.items())))
@@ -181,17 +182,16 @@ def validate(structure: KModuleStructure) -> list[Violation]:
                 "k < n requires a nonzero space dimension unless the table is empty",
             )
         )
-    for placement in sorted(structure.table):
+    try:
+        placements = sorted(structure.table)
+    except TypeError:  # slot values of unorderable types; reported below
+        placements = list(structure.table)
+    for placement in placements:
         target, coeff = structure.table[placement]
         report.extend(_placement_violations(structure, placement))
-        if not 0 <= target < structure.module_dim:
-            report.append(
-                Violation(
-                    "target-range",
-                    f"target {target} outside 0..{structure.module_dim - 1}",
-                    placement,
-                )
-            )
+        if type(target) is not int or not 0 <= target < structure.module_dim:
+            message = f"target {target!r} outside 0..{structure.module_dim - 1}"
+            report.append(Violation("target-range", message, placement))
         if coeff == 0:
             report.append(
                 Violation("zero-coefficient", "stored coefficient is zero", placement)
@@ -202,44 +202,25 @@ def validate(structure: KModuleStructure) -> list[Violation]:
 def _placement_violations(structure: KModuleStructure, placement) -> list[Violation]:
     report = []
     if len(placement) != structure.n:
-        report.append(
-            Violation(
-                "length",
-                f"placement has {len(placement)} slots, expected {structure.n}",
-                placement,
-            )
-        )
+        message = f"placement has {len(placement)} slots, expected {structure.n}"
+        report.append(Violation("length", message, placement))
     module_count = 0
     for tag, index in placement:
         if tag == MODULE_TAG:
             module_count += 1
-            if not 0 <= index < structure.module_dim:
-                report.append(
-                    Violation(
-                        "slot-range",
-                        f"module index {index} outside 0..{structure.module_dim - 1}",
-                        placement,
-                    )
-                )
+            side, dim = "module", structure.module_dim
         elif tag == SPACE_TAG:
-            if not 0 <= index < structure.space_dim:
-                report.append(
-                    Violation(
-                        "slot-range",
-                        f"space index {index} outside 0..{structure.space_dim - 1}",
-                        placement,
-                    )
-                )
+            side, dim = "space", structure.space_dim
         else:
             report.append(Violation("slot-tag", f"unknown slot tag {tag!r}", placement))
+            continue
+        # A bool or a float is no index, even where it compares in range.
+        if type(index) is not int or not 0 <= index < dim:
+            message = f"{side} index {index!r} outside 0..{dim - 1}"
+            report.append(Violation("slot-range", message, placement))
     if module_count != structure.k:
-        report.append(
-            Violation(
-                "slot-count",
-                f"placement has {module_count} module slots, expected {structure.k}",
-                placement,
-            )
-        )
+        message = f"placement has {module_count} module slots, expected {structure.k}"
+        report.append(Violation("slot-count", message, placement))
     return report
 
 
@@ -257,9 +238,9 @@ def _resolve_sigma(n: int, k: int, entry: SigmaEntry):
         )
     slots = [None] * n
     for position, index in enumerate(entry.module_args, start=1):
-        slots[sigma[position - 1] - 1] = (MODULE_TAG, int(index))
+        slots[sigma[position - 1] - 1] = (MODULE_TAG, index)
     for position, index in enumerate(entry.space_args, start=k + 1):
-        slots[sigma[position - 1] - 1] = (SPACE_TAG, int(index))
+        slots[sigma[position - 1] - 1] = (SPACE_TAG, index)
     return tuple(slots)
 
 
@@ -275,7 +256,7 @@ def from_sigma_entries(
     table = {}
     for entry in entries:
         placement = _resolve_sigma(n, k, entry)
-        value = (int(entry.target), Fraction(entry.coeff))
+        value = (entry.target, Fraction(entry.coeff))
         existing = table.get(placement)
         if existing is not None and existing != value:
             raise CollisionError(
@@ -286,8 +267,9 @@ def from_sigma_entries(
 
 
 def evaluate(structure: KModuleStructure, placement):
-    """Lookup of one placement: (target, coeff) or None when it is zero."""
-    key = tuple((tag, int(index)) for tag, index in placement)
+    """Lookup of one placement: (target, coeff) or None when it is zero.
+    Raises DimensionError for a placement that ``validate`` would flag."""
+    key = tuple((tag, index) for tag, index in placement)
     problems = _placement_violations(structure, key)
     if problems:
         raise DimensionError(problems[0].message)

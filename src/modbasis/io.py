@@ -19,13 +19,16 @@ write of read of write is byte-identical.
 
 The reader only checks the JSON shape of each entry and puts it, as
 written, into its table; the ``KModuleStructure`` and ``NAryAlgebra``
-constructors normalize it, and ``validate`` checks the action.
+constructors convert coefficients, and ``validate`` checks keys and
+targets of the action.  Error messages echo input values through
+``reprlib``, so a huge value shows only its ends.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 from operator import itemgetter
 from pathlib import Path
 
@@ -71,8 +74,8 @@ def _coeff(raw, position: int):
     match = _COEFF.fullmatch(raw)
     if match is None:
         raise SchemaError(
-            f"entry {position}: bad coefficient {raw!r}: expected an integer "
-            "or 'p/q', q nonzero, at most 4300 digits each"
+            f"entry {position}: bad coefficient {reprlib.repr(raw)}: expected an "
+            "integer or 'p/q', q nonzero, at most 4300 digits each"
         )
     return raw if match[1].strip("0") else 0
 
@@ -91,7 +94,7 @@ def _entry(raw, position: int) -> tuple[tuple, int, object]:
         else:
             (tag, index), = slot.items()
             if tag != MODULE_TAG and tag != SPACE_TAG:
-                problem = f"unknown slot tag {tag!r}"
+                problem = f"unknown slot tag {reprlib.repr(tag)}"
             elif type(index) is not int:
                 problem = "slot index must be an integer"
             else:
@@ -122,11 +125,13 @@ def read_document(path):
         raise SchemaError("document root must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaError(
-            f"unsupported format_version {doc.get('format_version')!r}"
+            f"unsupported format_version {reprlib.repr(doc.get('format_version'))}"
         )
     kind = doc.get("kind")
     if kind not in _KINDS:
-        raise SchemaError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+        raise SchemaError(
+            f"unknown kind {reprlib.repr(kind)}; expected one of {_KINDS}"
+        )
     names = ("n", "space_dim") if kind == "n-ary-algebra" else _HEADER[2:]
     header = [_int_field(doc, name) for name in names]
     n, dim = header[0], header[-1]

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modbasis
 from modbasis import read_document, write_document
 from modbasis.cli import cli_main
 
@@ -65,6 +70,19 @@ def test_validate_unreadable_input(tmp_path, capsys):
     garbage.write_text("{oops")
     assert cli_main(["validate", str(garbage)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    path = tmp_path / "future.json"
+    path.write_text(json.dumps({"format_version": 2, "kind": "k-module"}))
+    env = {**os.environ, "PYTHONPATH": str(Path(modbasis.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "modbasis.cli", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 2
+    assert not result.stdout
+    assert result.stderr == "error: unsupported format_version 2\n"
 
 
 def test_decompose_human_output(e1_path, capsys):

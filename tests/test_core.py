@@ -80,6 +80,34 @@ def test_validate_flags_bad_shape_parameters():
     assert "k-range" in _codes(validate(KModuleStructure(2, 0, 1, 1, {})))
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "3"], ids=repr)
+def test_validate_flags_indices_and_targets_that_are_not_ints(bad):
+    # Each value lies in range once truncated by int(); the table keeps it
+    # as given and validate reports it under the range codes.
+    table = {(M(bad), S(0)): (0, 1), (M(0), S(bad)): (0, 1)}
+    slots = KModuleStructure(2, 1, 4, 4, table)
+    assert {type(index) for key in slots.table for _, index in key} == {int, type(bad)}
+    assert sorted((v.code, v.message) for v in validate(slots)) == [
+        ("slot-range", f"module index {bad!r} outside 0..3"),
+        ("slot-range", f"space index {bad!r} outside 0..3"),
+    ]
+    target = KModuleStructure(2, 1, 4, 1, {(M(0), S(0)): (bad, 1)})
+    assert type(target.table[(M(0), S(0))][0]) is type(bad)
+    assert [(v.code, v.message) for v in validate(target)] == [
+        ("target-range", f"target {bad!r} outside 0..3"),
+    ]
+
+
+def test_validate_reports_unorderable_placements_in_table_order():
+    table = {(M("1"), S(0)): (0, 1), (M(0), S(0)): (1.5, 1), (M(2.5), S(0)): (0, 1)}
+    report = validate(KModuleStructure(2, 1, 3, 1, table))
+    assert [v.message for v in report] == [
+        "module index '1' outside 0..2",
+        "target 1.5 outside 0..2",
+        "module index 2.5 outside 0..2",
+    ]
+
+
 def test_validate_reports_every_breach():
     table = {
         (M(0), S(0)): (9, 1),
@@ -179,6 +207,22 @@ def test_evaluate_rejects_malformed_placements(e1):
         evaluate(e1, (M(9), S(0)))
     with pytest.raises(DimensionError):
         evaluate(e1, (("x", 0), S(0)))
+
+
+def test_evaluate_rejects_an_index_that_is_not_an_int(e1):
+    with pytest.raises(DimensionError, match=r"^module index 0\.5 outside 0\.\.2$"):
+        evaluate(e1, (("m", 0.5), S(0)))
+
+
+def test_from_sigma_entries_keeps_arguments_as_given():
+    entry = SigmaEntry((2, 1), (1.0,), (0,), 2.0, 1)
+    structure = from_sigma_entries(2, 1, (3, 1), [entry])
+    ((placement, (target, _)),) = structure.table.items()
+    assert type(placement[1][1]) is float and type(target) is float
+    assert [v.message for v in validate(structure)] == [
+        "module index 1.0 outside 0..2",
+        "target 2.0 outside 0..2",
+    ]
 
 
 def test_evaluate_is_read_only(e1):

@@ -203,6 +203,25 @@ def test_read_rejects_coefficients_outside_the_grammar(tmp_path, capsys, coeff):
     assert _cli_validate_fails_in_one_line(path, capsys)
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["entries"][0].update(coeff="7" * 10**6 + "x"),
+        lambda d: d.update(format_version=json.loads("[" * 500 + "]" * 500)),
+        lambda d: d.update(kind="k" * 10**6),
+        lambda d: d["entries"][0]["slots"].append({"t" * 10**6: 0}),
+    ],
+    ids=["coefficient", "format_version", "kind", "slot-tag"],
+)
+def test_errors_echo_a_bounded_part_of_the_input(tmp_path, capsys, mutate):
+    path = _write_doc(tmp_path, mutate)
+    capsys.readouterr()
+    assert cli_main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300
+
+
 def test_coefficient_grammar_edges(tmp_path):
     def with_coeff(coeff):
         return _write_doc(tmp_path, lambda d: d["entries"][0].update(coeff=coeff))
