@@ -225,7 +225,9 @@ def _check_step(structure: KModuleStructure, step: Step):
 
 
 def _check_index(structure: KModuleStructure, index: int):
-    if not 0 <= index < structure.module_dim:
+    # validate's test: a bool or a float is no index, even where it
+    # compares in range.
+    if type(index) is not int or not 0 <= index < structure.module_dim:
         raise DimensionError(
             f"index {index} outside 0..{structure.module_dim - 1}"
         )

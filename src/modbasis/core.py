@@ -22,7 +22,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .errors import CollisionError, DimensionError
+from .errors import CollisionError, DimensionError, echo
 
 # Stdlib Fraction already maintains lowest terms and a positive
 # denominator, which is exactly the normal form required here.
@@ -61,8 +61,9 @@ def placement_space_size(n: int, k: int, module_dim: int, space_dim: int) -> int
 
 def _freeze_table(self) -> None:
     """``__post_init__`` of both table classes: a read-only copy of the table,
-    each coefficient converted to ``Fraction``, keys and targets as given."""
-    table = {key: (target, Fraction(coeff))
+    keys and targets as given, each coefficient a ``Fraction`` (kept when it
+    is one, converted otherwise)."""
+    table = {key: (target, coeff if type(coeff) is Fraction else Fraction(coeff))
              for key, (target, coeff) in self.table.items()}
     object.__setattr__(self, "table", MappingProxyType(table))
 
@@ -76,10 +77,12 @@ class KModuleStructure:
     index, coefficient); the constructor copies it into a read-only
     mapping, so instances are immutable, hash by value, and are safe to
     share between threads.  Parts derived from the table are built once
-    per structure, on first use.  The constructor converts coefficients
-    and enforces no invariant; ``validate`` checks keys and targets,
-    index types included, and reports every violation explicitly so
-    that malformed data can be inspected.
+    per structure, on first use.  The constructor keeps a coefficient
+    that is a ``Fraction`` (``read_document`` parses each one and hands
+    it over) and converts any other value with ``Fraction()``; it
+    enforces no invariant.  ``validate`` checks keys
+    and targets, index types included, and reports every violation
+    explicitly so that malformed data can be inspected.
     """
 
     n: int
@@ -105,7 +108,8 @@ class NAryAlgebra:
 
     Keys are ordered index tuples of length n; values are (target index,
     coefficient) pairs, absent keys multiply to zero, and the table is read-only.
-    Like ``KModuleStructure``, the constructor converts only coefficients.
+    Like ``KModuleStructure``, the constructor touches only coefficients:
+    it keeps ``Fraction`` values and converts others.
     """
 
     n: int
@@ -190,7 +194,7 @@ def validate(structure: KModuleStructure) -> list[Violation]:
         target, coeff = structure.table[placement]
         report.extend(_placement_violations(structure, placement))
         if type(target) is not int or not 0 <= target < structure.module_dim:
-            message = f"target {target!r} outside 0..{structure.module_dim - 1}"
+            message = f"target {echo(target)} outside 0..{structure.module_dim - 1}"
             report.append(Violation("target-range", message, placement))
         if coeff == 0:
             report.append(
@@ -212,11 +216,12 @@ def _placement_violations(structure: KModuleStructure, placement) -> list[Violat
         elif tag == SPACE_TAG:
             side, dim = "space", structure.space_dim
         else:
-            report.append(Violation("slot-tag", f"unknown slot tag {tag!r}", placement))
+            message = f"unknown slot tag {echo(tag)}"
+            report.append(Violation("slot-tag", message, placement))
             continue
         # A bool or a float is no index, even where it compares in range.
         if type(index) is not int or not 0 <= index < dim:
-            message = f"{side} index {index!r} outside 0..{dim - 1}"
+            message = f"{side} index {echo(index)} outside 0..{dim - 1}"
             report.append(Violation("slot-range", message, placement))
     if module_count != structure.k:
         message = f"placement has {module_count} module slots, expected {structure.k}"

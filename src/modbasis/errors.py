@@ -1,6 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``echo``, the one rule
+for quoting an input value in a message."""
 
 from __future__ import annotations
+
+import reprlib
+
+# A huge value shows only its ends; a sign and 40 digits still print in
+# full.
+_ECHO = reprlib.Repr()
+_ECHO.maxlong = 41
+
+
+def echo(value) -> str:
+    """``repr`` of ``value``, shortened when it is long."""
+    return _ECHO.repr(value)
 
 
 class ModBasisError(Exception):

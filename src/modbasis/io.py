@@ -17,18 +17,27 @@ least 1.  Output is canonical: entries sorted by slot sequence,
 lowest-term coefficients, fixed key order, two-space indentation, so
 write of read of write is byte-identical.
 
-The reader only checks the JSON shape of each entry and puts it, as
-written, into its table; the ``KModuleStructure`` and ``NAryAlgebra``
-constructors convert coefficients, and ``validate`` checks keys and
-targets of the action.  Error messages echo input values through
-``reprlib``, so a huge value shows only its ends.
+The reader checks the JSON shape of each entry and puts it into its
+table, keys and targets as written.  It parses each coefficient once,
+from the groups of the ``_COEFF`` match, into a ``Fraction``, which the
+``KModuleStructure`` and ``NAryAlgebra`` constructors keep as it is
+(they convert any other value); ``validate`` checks keys and targets of
+the action.  Cyclic garbage collection is paused from the JSON parse
+through ``validate``: a large read allocates objects by the hundred
+thousand and frees almost none, so collections during it would only
+rescan live data.  The pause is process-wide: no thread of the process
+runs a cyclic collection until the read ends, and if two reads overlap,
+the one that began with the collector on turns it back on when it ends.
+Error messages echo input values through ``errors.echo``, so a huge
+value shows only its ends.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
-import reprlib
+from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
@@ -41,7 +50,7 @@ from .core import (
     support,
     validate,
 )
-from .errors import DimensionError, ParseError, SchemaError, ValidationError
+from .errors import DimensionError, ParseError, SchemaError, ValidationError, echo
 from .semidirect import ModuleOverAlgebra
 
 FORMAT_VERSION = 1
@@ -49,10 +58,11 @@ FORMAT_VERSION = 1
 _KINDS = ("k-module", "n-ary-algebra", "module-over-algebra")
 _HEADER = ("format_version", "kind", "n", "k", "module_dim", "space_dim")
 
-# "N" or "N/D", optionally negative, D nonzero.  A part may have at most
-# 4300 digits, CPython's int-to-str limit, so every value read can be
-# written back.
-_COEFF = re.compile(r"-?([0-9]{1,4300})(?:/(?=0*[1-9])[0-9]{1,4300})?")
+# "N" or "N/D", optionally negative, D nonzero; the groups are the
+# signed numerator and the denominator.  A part may have at most 4300
+# digits, CPython's int-to-str limit, so every value read can be written
+# back.
+_COEFF = re.compile(r"(-?[0-9]{1,4300})(?:/((?=0*[1-9])[0-9]{1,4300}))?")
 
 
 def _int_field(doc: dict, name: str) -> int:
@@ -62,49 +72,58 @@ def _int_field(doc: dict, name: str) -> int:
     return value
 
 
-def _coeff(raw, position: int):
-    """The checked coefficient as written; every zero comes back as the
-    int 0, so ``== 0`` finds zeros before the constructor parses them."""
+def _coeff(raw, position: int) -> Fraction:
+    """The checked coefficient as a ``Fraction``; a "p/q" string is parsed
+    once, by the ``_COEFF`` match, whose groups give the two integers."""
     if type(raw) is int:
-        return raw
-    if not isinstance(raw, str):
+        return Fraction(raw)
+    if type(raw) is not str:
         raise SchemaError(
             f"entry {position}: coefficient must be an integer or 'p/q' string"
         )
     match = _COEFF.fullmatch(raw)
     if match is None:
         raise SchemaError(
-            f"entry {position}: bad coefficient {reprlib.repr(raw)}: expected an "
+            f"entry {position}: bad coefficient {echo(raw)}: expected an "
             "integer or 'p/q', q nonzero, at most 4300 digits each"
         )
-    return raw if match[1].strip("0") else 0
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator or 1))
 
 
-def _entry(raw, position: int) -> tuple[tuple, int, object]:
-    """(placement, target, coeff) of one raw entry, its JSON shape checked."""
-    if not isinstance(raw, dict):
+def _entry(raw, position: int) -> tuple[tuple, int, Fraction]:
+    """(placement, target, coeff) of one raw entry, its JSON shape checked.
+    ``json.loads`` builds exact ``dict`` and ``list`` objects, so their
+    types are tested with ``is``."""
+    if type(raw) is not dict:
         raise SchemaError(f"entry {position}: must be an object")
     slots = raw.get("slots")
-    if not isinstance(slots, list):
+    if type(slots) is not list:
         raise SchemaError(f"entry {position}: 'slots' must be a list")
     placement = []
-    for number, slot in enumerate(slots):
-        if not isinstance(slot, dict) or len(slot) != 1:
-            problem = "slot must be a single-key object"
-        else:
-            (tag, index), = slot.items()
-            if tag != MODULE_TAG and tag != SPACE_TAG:
-                problem = f"unknown slot tag {reprlib.repr(tag)}"
-            elif type(index) is not int:
-                problem = "slot index must be an integer"
-            else:
-                placement.append((tag, index))
+    for slot in slots:
+        if type(slot) is dict and len(slot) == 1:
+            (item,) = slot.items()  # a fresh (tag, index) pair
+            tag = item[0]
+            if (tag == MODULE_TAG or tag == SPACE_TAG) and type(item[1]) is int:
+                placement.append(item)
                 continue
-        raise SchemaError(f"entry {position}, slot {number}: {problem}")
+        raise SchemaError(
+            f"entry {position}, slot {len(placement)}: {_slot_problem(slot)}"
+        )
     target = raw.get("target")
     if type(target) is not int:
         raise SchemaError(f"entry {position}: 'target' must be an integer")
     return tuple(placement), target, _coeff(raw.get("coeff"), position)
+
+
+def _slot_problem(slot) -> str:
+    if type(slot) is not dict or len(slot) != 1:
+        return "slot must be a single-key object"
+    (tag, _), = slot.items()
+    if tag != MODULE_TAG and tag != SPACE_TAG:
+        return f"unknown slot tag {echo(tag)}"
+    return "slot index must be an integer"
 
 
 def read_document(path):
@@ -113,8 +132,22 @@ def read_document(path):
     Raises ParseError for unreadable JSON, SchemaError for a malformed
     document shape, and ValidationError, listing every breach, when the
     decoded data violates structural invariants.
+
+    Cyclic garbage collection is paused for the length of the read, in
+    every thread of the process, and afterwards left on or off as it was
+    found; a read that overlaps another may end the other's pause.
     """
     text = Path(path).read_text(encoding="utf-8")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _decode(text, path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _decode(text: str, path):
     # Beside JSONDecodeError (a ValueError): nesting too deep raises
     # RecursionError, an integer over 4300 digits a plain ValueError.
     try:
@@ -125,12 +158,12 @@ def read_document(path):
         raise SchemaError("document root must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaError(
-            f"unsupported format_version {reprlib.repr(doc.get('format_version'))}"
+            f"unsupported format_version {echo(doc.get('format_version'))}"
         )
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise SchemaError(
-            f"unknown kind {reprlib.repr(kind)}; expected one of {_KINDS}"
+            f"unknown kind {echo(kind)}; expected one of {_KINDS}"
         )
     names = ("n", "space_dim") if kind == "n-ary-algebra" else _HEADER[2:]
     header = [_int_field(doc, name) for name in names]
@@ -139,7 +172,7 @@ def read_document(path):
     if not isinstance(raw_entries, list):
         raise SchemaError("field 'entries' must be a list")
 
-    algebra, action, position_of = {}, {}, {}
+    algebra, action = {}, {}
     algebra_problems, duplicates = [], []
     for position, raw in enumerate(raw_entries):
         placement, target, coeff = _entry(raw, position)
@@ -148,12 +181,9 @@ def read_document(path):
             and not (placement and all(tag == SPACE_TAG for tag, _ in placement))
         ):
             if placement in action:
-                duplicates.append(
-                    f"entry {position}: duplicate of entry {position_of[placement]}"
-                )
+                duplicates.append((position, placement))
             else:
                 action[placement] = (target, coeff)
-                position_of[placement] = position
             continue
         key = tuple(index for _, index in placement)
         if len(placement) != n or any(tag != SPACE_TAG for tag, _ in placement):
@@ -174,17 +204,34 @@ def read_document(path):
             raise ValidationError(algebra_problems)
         return NAryAlgebra(n, dim, algebra)
     structure = KModuleStructure(*header, action)
-    problems = algebra_problems + duplicates
-    for violation in validate(structure):
-        prefix = ""
-        if violation.placement is not None:
-            prefix = f"entry {position_of[violation.placement]}: "
-        problems.append(prefix + violation.message)
+    violations = validate(structure)
+    problems = algebra_problems
+    if duplicates or violations:
+        first = _first_positions(raw_entries, action)
+        problems += [f"entry {position}: duplicate of entry {first[placement]}"
+                     for position, placement in duplicates]
+        for violation in violations:
+            prefix = ""
+            if violation.placement is not None:
+                prefix = f"entry {first[violation.placement]}: "
+            problems.append(prefix + violation.message)
     if problems:
         raise ValidationError(problems)
     if kind == "module-over-algebra":
         return ModuleOverAlgebra(NAryAlgebra(n, dim, algebra), structure)
     return structure
+
+
+def _first_positions(raw_entries, action) -> dict:
+    """Position of the first entry of each action placement.  A second pass
+    over entries that all decoded, made only when a message needs one;
+    algebra placements are all-space, which no action key is."""
+    first = {}
+    for position, raw in enumerate(raw_entries):
+        placement = _entry(raw, position)[0]
+        if placement in action:
+            first.setdefault(placement, position)
+    return first
 
 
 def _algebra_rows(algebra: NAryAlgebra):

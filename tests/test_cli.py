@@ -63,6 +63,33 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert out.count("invalid:") == 2
 
 
+def _write_huge(path, field, digits):
+    huge = "9" * digits
+    index, target = (huge, 0) if field == "index" else (0, huge)
+    path.write_text(
+        '{"format_version": 1, "kind": "k-module", "n": 2, "k": 1, "module_dim": 2,'
+        f' "space_dim": 1, "entries": [{{"slots": [{{"m": {index}}}, {{"s": 0}}],'
+        f' "target": {target}, "coeff": 1}}]}}'
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("field", ["index", "target"])
+def test_validate_echoes_a_bounded_part_of_a_huge_index(tmp_path, capsys, field):
+    # 4300 digits is the most that parses: the document reads, and
+    # validate reports the value.
+    assert cli_main(["validate", _write_huge(tmp_path / "doc.json", field, 4300)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid: entry 0: ")
+    assert len(lines[0].encode()) < 300 and not captured.err
+    # One digit more is unreadable JSON: exit 2 and one short error line.
+    assert cli_main(["validate", _write_huge(tmp_path / "doc.json", field, 4301)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and len(captured.err.encode()) < 300
+
+
 def test_validate_unreadable_input(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["validate", str(missing)]) == 2

@@ -211,6 +211,16 @@ def test_find_connection_range_checks(e1):
         find_connection(e1, -1, 0)
 
 
+@pytest.mark.parametrize("bad", [0.5, True, 1.0], ids=repr)
+def test_find_connection_rejects_an_index_that_is_not_an_int(e1, bad):
+    # validate's test: in range is not enough, and no chain may start at
+    # True or report 0.5 as "not connected".
+    with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
+        find_connection(e1, bad, 1)
+    with pytest.raises(DimensionError):
+        find_connection(e1, 0, bad)
+
+
 def test_find_connection_multi_step():
     # 0 -> 1 -> 2 needs two hops; there is no direct entry joining 0 and 2.
     structure = KModuleStructure(

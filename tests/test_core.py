@@ -98,6 +98,29 @@ def test_validate_flags_indices_and_targets_that_are_not_ints(bad):
     ]
 
 
+@pytest.mark.parametrize(
+    "bad", [2.7, True, "3", 10**40 - 1, -(10**40 - 1), 7, -1],
+    ids=lambda bad: f"{len(str(bad))}-chars" if len(str(bad)) > 9 else repr(bad),
+)
+def test_validate_messages_keep_short_values_whole(bad):
+    table = {(M(bad), S(0)): (bad, 1), (M(0), (bad, 0)): (0, 1)}
+    assert sorted(v.message for v in validate(KModuleStructure(2, 1, 4, 1, table))) == [
+        f"module index {bad!r} outside 0..3",
+        f"target {bad!r} outside 0..3",
+        f"unknown slot tag {bad!r}",
+    ]
+
+
+def test_validate_messages_echo_a_bounded_part_of_huge_values():
+    huge = 10**4000
+    table = {(M(huge), S(0)): (huge, 1), (M(0), ("t" * 10**5, 0)): (0, 1)}
+    report = validate(KModuleStructure(2, 1, 4, 1, table))
+    assert sorted(v.code for v in report) == ["slot-range", "slot-tag", "target-range"]
+    assert all(len(v.message) < 100 for v in report)
+    assert "module index 1000000000000000000...0000000000000000000 outside 0..3" in [
+        v.message for v in report]
+
+
 def test_validate_reports_unorderable_placements_in_table_order():
     table = {(M("1"), S(0)): (0, 1), (M(0), S(0)): (1.5, 1), (M(2.5), S(0)): (0, 1)}
     report = validate(KModuleStructure(2, 1, 3, 1, table))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 
@@ -280,6 +281,109 @@ def test_read_collects_every_violation(tmp_path):
     assert len(info.value.violations) == 2
 
 
+def _write_text(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (lambda p: _write_doc(p, lambda d: None), None),
+        (lambda p: _write_doc(p, lambda d: d["entries"][0].update(target=9)),
+         ValidationError),
+        (lambda p: _write_doc(p, lambda d: d["entries"][0].update(coeff=[1])),
+         SchemaError),
+        (lambda p: _write_text(p, "{oops"), ParseError),
+    ],
+    ids=["valid", "invalid", "bad-coefficient", "unreadable"],
+)
+def test_read_leaves_the_garbage_collector_as_it_found_it(
+    tmp_path, write, error, collecting
+):
+    path = write(tmp_path)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if error is None:
+            read_document(path)
+        else:
+            with pytest.raises(error):
+                read_document(path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("coeff", [True, False, [1], {"a": 1}, None, 1.0],
+                         ids=repr)
+def test_coefficients_of_other_types_fail_after_an_equal_one_read(tmp_path, coeff):
+    # True equals 1 and hashes like it, and a list cannot be a dict key:
+    # a reader that looked coefficients up among earlier values before
+    # testing their type would accept the one or crash on the other.
+    path = _write_doc(
+        tmp_path,
+        lambda d: d["entries"].extend([
+            {"slots": [{"m": 1}, {"s": 0}], "target": 1, "coeff": 1},
+            {"slots": [{"m": 0}, {"s": 0}], "target": 1, "coeff": coeff},
+        ]),
+    )
+    message = "entry 2: coefficient must be an integer or 'p/q' string"
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        read_document(path)
+
+
+def test_repeated_coefficients_read_as_equal_fractions(tmp_path):
+    coeffs = [1, "1/1", "2/4", "1/2", 1, "-3", -3, "1/2"]
+    path = _write_doc(
+        tmp_path,
+        lambda d: d.update(module_dim=len(coeffs), entries=[
+            {"slots": [{"m": i}, {"s": 0}], "target": 0, "coeff": c}
+            for i, c in enumerate(coeffs)
+        ]),
+    )
+    loaded = read_document(path)
+    read = [loaded.table[(M(i), S(0))][1] for i in range(len(coeffs))]
+    assert read == [Fraction(c) for c in coeffs]
+    assert all(type(c) is Fraction for c in read)
+
+
+def test_mixed_document_messages_name_each_entry_by_position(tmp_path):
+    # Algebra entries come first, so an action entry's position is not
+    # its index among the action entries.
+    doc = {
+        "format_version": 1,
+        "kind": "module-over-algebra",
+        "n": 2, "k": 1, "module_dim": 2, "space_dim": 2,
+        "entries": [
+            {"slots": [{"s": 0}, {"s": 0}], "target": 0, "coeff": 1},
+            {"slots": [{"s": 1}, {"s": 1}], "target": 1, "coeff": 1},
+            {"slots": [{"m": 0}, {"s": 0}], "target": 0, "coeff": 1},
+            {"slots": [{"s": 0}, {"s": 1}], "target": 5, "coeff": 1},
+            {"slots": [{"m": 1}, {"s": 1}], "target": 1, "coeff": "0/3"},
+            {"slots": [{"m": 0}, {"s": 0}], "target": 1, "coeff": 1},
+            {"slots": [{"s": 1}, {"m": 9}], "target": 7, "coeff": 2},
+            {"slots": [{"m": 0}, {"s": 0}], "target": 0, "coeff": 3},
+            {"slots": [{"s": 0}, {"s": 0}], "target": 0, "coeff": 1},
+        ],
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as info:
+        read_document(path)
+    assert list(info.value.violations) == [
+        "entry 3: index outside 0..1",
+        "entry 8: duplicate product",
+        "entry 5: duplicate of entry 2",
+        "entry 7: duplicate of entry 2",
+        "entry 4: stored coefficient is zero",
+        "entry 6: module index 9 outside 0..1",
+        "entry 6: target 7 outside 0..1",
+    ]
+
+
 def test_read_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_document(tmp_path / "absent.json")
@@ -325,3 +429,17 @@ def test_export_dot_single_cluster(e2):
     assert "v0 -- v0;" in text
     assert "v0 -- v1;" in text
     assert "v1 -- v1;" in text
+
+
+@pytest.mark.parametrize("value", [-(10**40 - 1), 10**41, -(10**50)])
+def test_reader_and_validate_quote_a_value_alike(tmp_path, value):
+    # One rule for both: a sign and 40 digits print whole, more is cut.
+    path = _write_doc(tmp_path, lambda d: d.update(format_version=value))
+    with pytest.raises(SchemaError) as schema:
+        read_document(path)
+    path = _write_doc(tmp_path, lambda d: d["entries"][0].update(target=value))
+    with pytest.raises(ValidationError) as invalid:
+        read_document(path)
+    shown = str(schema.value).removeprefix("unsupported format_version ")
+    assert invalid.value.violations == (f"entry 0: target {shown} outside 0..1",)
+    assert (shown == repr(value)) == (len(repr(value)) <= 41)
