@@ -186,25 +186,37 @@ def validate(structure: KModuleStructure) -> list[Violation]:
                 "k < n requires a nonzero space dimension unless the table is empty",
             )
         )
-    try:
-        placements = sorted(structure.table)
-    except TypeError:  # slot values of unorderable types; reported below
-        placements = list(structure.table)
-    for placement in placements:
-        target, coeff = structure.table[placement]
-        report.extend(_placement_violations(structure, placement))
-        if type(target) is not int or not 0 <= target < structure.module_dim:
-            message = f"target {echo(target)} outside 0..{structure.module_dim - 1}"
-            report.append(Violation("target-range", message, placement))
-        if coeff == 0:
-            report.append(
-                Violation("zero-coefficient", "stored coefficient is zero", placement)
-            )
+    report.extend(_entry_violations(structure))
     return report
 
 
-def _placement_violations(structure: KModuleStructure, placement) -> list[Violation]:
+def _entry_violations(structure: KModuleStructure) -> list[Violation]:
+    """Every breach of the entries, placements in sorted order (in table
+    order where slot values do not compare).  One pass in table order; only
+    a report that is not empty is then sorted."""
     report = []
+    module_dim = structure.module_dim
+    for placement, (target, coeff) in structure.table.items():
+        _placement_violations(structure, placement, report)
+        if type(target) is not int or not 0 <= target < module_dim:
+            message = f"target {echo(target)} outside 0..{echo(module_dim - 1)}"
+            report.append(Violation("target-range", message, placement))
+        if not coeff.numerator:
+            report.append(
+                Violation("zero-coefficient", "stored coefficient is zero", placement)
+            )
+    if report:
+        try:
+            order = {placement: rank
+                     for rank, placement in enumerate(sorted(structure.table))}
+        except TypeError:  # slot values of unorderable types
+            return report
+        report.sort(key=lambda violation: order[violation.placement])
+    return report
+
+
+def _placement_violations(structure: KModuleStructure, placement, report: list) -> list:
+    """Append the breaches of one placement to ``report`` and return it."""
     if len(placement) != structure.n:
         message = f"placement has {len(placement)} slots, expected {structure.n}"
         report.append(Violation("length", message, placement))
@@ -221,7 +233,7 @@ def _placement_violations(structure: KModuleStructure, placement) -> list[Violat
             continue
         # A bool or a float is no index, even where it compares in range.
         if type(index) is not int or not 0 <= index < dim:
-            message = f"{side} index {echo(index)} outside 0..{dim - 1}"
+            message = f"{side} index {echo(index)} outside 0..{echo(dim - 1)}"
             report.append(Violation("slot-range", message, placement))
     if module_count != structure.k:
         message = f"placement has {module_count} module slots, expected {structure.k}"
@@ -275,7 +287,7 @@ def evaluate(structure: KModuleStructure, placement):
     """Lookup of one placement: (target, coeff) or None when it is zero.
     Raises DimensionError for a placement that ``validate`` would flag."""
     key = tuple((tag, index) for tag, index in placement)
-    problems = _placement_violations(structure, key)
+    problems = _placement_violations(structure, key, [])
     if problems:
         raise DimensionError(problems[0].message)
     return structure.table.get(key)

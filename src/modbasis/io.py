@@ -22,9 +22,13 @@ table, keys and targets as written.  It parses each coefficient once,
 from the groups of the ``_COEFF`` match, into a ``Fraction``, which the
 ``KModuleStructure`` and ``NAryAlgebra`` constructors keep as it is
 (they convert any other value); ``validate`` checks keys and targets of
-the action.  Cyclic garbage collection is paused from the JSON parse
-through ``validate``: a large read allocates objects by the hundred
-thousand and frees almost none, so collections during it would only
+the action.  Each raw entry is released once it is decoded, so the JSON
+tree shrinks while the table grows and the read never holds two copies
+of the document.  Only a message that names an entry position needs the
+entries again; it gets them by parsing the text a second time.  Cyclic
+garbage collection is paused from the JSON parse through ``validate``: a
+large read allocates objects by the hundred thousand, and what it drops
+is freed by reference counting, so collections during it would only
 rescan live data.  The pause is process-wide: no thread of the process
 runs a cyclic collection until the read ends, and if two reads overlap,
 the one that began with the collector on turns it back on when it ends.
@@ -133,6 +137,11 @@ def read_document(path):
     document shape, and ValidationError, listing every breach, when the
     decoded data violates structural invariants.
 
+    Each entry of the parsed JSON is dropped as soon as it is decoded.
+    A clean read parses the text once; a duplicate placement or a
+    violation in the action parses it a second time, to name the first
+    entry of each placement.
+
     Cyclic garbage collection is paused for the length of the read, in
     every thread of the process, and afterwards left on or off as it was
     found; a read that overlaps another may end the other's pause.
@@ -176,6 +185,7 @@ def _decode(text: str, path):
     algebra_problems, duplicates = [], []
     for position, raw in enumerate(raw_entries):
         placement, target, coeff = _entry(raw, position)
+        raw_entries[position] = None  # frees the entry's JSON objects
         if kind == "k-module" or (
             kind == "module-over-algebra"
             and not (placement and all(tag == SPACE_TAG for tag, _ in placement))
@@ -189,7 +199,7 @@ def _decode(text: str, path):
         if len(placement) != n or any(tag != SPACE_TAG for tag, _ in placement):
             problem = f"algebra entries use {n} space slots"
         elif any(not 0 <= j < dim for j in key) or not 0 <= target < dim:
-            problem = f"index outside 0..{dim - 1}"
+            problem = f"index outside 0..{echo(dim - 1)}"
         elif coeff == 0:
             problem = "stored coefficient is zero"
         elif key in algebra:
@@ -207,7 +217,7 @@ def _decode(text: str, path):
     violations = validate(structure)
     problems = algebra_problems
     if duplicates or violations:
-        first = _first_positions(raw_entries, action)
+        first = _first_positions(text, action)
         problems += [f"entry {position}: duplicate of entry {first[placement]}"
                      for position, placement in duplicates]
         for violation in violations:
@@ -222,12 +232,13 @@ def _decode(text: str, path):
     return structure
 
 
-def _first_positions(raw_entries, action) -> dict:
-    """Position of the first entry of each action placement.  A second pass
-    over entries that all decoded, made only when a message needs one;
-    algebra placements are all-space, which no action key is."""
+def _first_positions(text: str, action) -> dict:
+    """Position of the first entry of each action placement.  The decode
+    loop released the entries, so this parses the text a second time, only
+    when a message needs a position; every entry decoded the first time,
+    and algebra placements are all-space, which no action key is."""
     first = {}
-    for position, raw in enumerate(raw_entries):
+    for position, raw in enumerate(json.loads(text)["entries"]):
         placement = _entry(raw, position)[0]
         if placement in action:
             first.setdefault(placement, position)

@@ -90,6 +90,20 @@ def test_validate_echoes_a_bounded_part_of_a_huge_index(tmp_path, capsys, field)
     assert captured.err.startswith("error: ") and len(captured.err.encode()) < 300
 
 
+def test_validate_echoes_a_bounded_part_of_a_huge_dimension(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(
+        '{"format_version": 1, "kind": "k-module", "n": 2, "k": 1,'
+        f' "module_dim": {"9" * 4300}, "space_dim": 1, "entries":'
+        ' [{"slots": [{"m": -1}, {"s": 0}], "target": 0, "coeff": 1}]}'
+    )
+    assert cli_main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid: entry 0: module index -1")
+    assert len(lines[0].encode()) < 300 and not captured.err
+
+
 def test_validate_unreadable_input(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["validate", str(missing)]) == 2

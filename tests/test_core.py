@@ -298,3 +298,47 @@ def test_structures_pickle_by_value(e1):
         assert copy == original and hash(copy) == hash(original)
     with pytest.raises(TypeError):
         pickle.loads(pickle.dumps(e1)).table[(M(0), S(0))] = (2, 1)
+
+
+def test_validate_reports_entries_in_sorted_order_whatever_the_table_order():
+    table = {
+        (M(2), S(9)): (7, 0),
+        (M(1), M(0)): (0, 1),
+        (M(0), S(0)): (1, 0),
+    }
+    report = validate(KModuleStructure(2, 1, 3, 1, table))
+    assert [(v.code, v.placement) for v in report] == [
+        ("zero-coefficient", (M(0), S(0))),
+        ("slot-count", (M(1), M(0))),
+        ("slot-range", (M(2), S(9))),
+        ("target-range", (M(2), S(9))),
+        ("zero-coefficient", (M(2), S(9))),
+    ]
+
+
+def test_freeze_table_stores_target_and_fraction_tuples():
+    given = {
+        (M(0), S(0)): [1, 2],
+        (M(1), S(0)): [0, "3/6"],
+        (M(2), S(0)): (2, "-4"),
+        (M(0), S(1)): (1, Fraction(2, 3)),
+        (M(1), S(1)): (0, 5),
+    }
+    table = KModuleStructure(2, 1, 3, 2, given).table
+    assert {key: (type(value), type(value[1])) for key, value in table.items()} == {
+        key: (tuple, Fraction) for key in given}
+    assert [table[key] for key in given] == [
+        (1, Fraction(2)), (0, Fraction(1, 2)), (2, Fraction(-4)),
+        (1, Fraction(2, 3)), (0, Fraction(5))]
+
+
+@pytest.mark.parametrize("value, error, message", [
+    ((0, 1, 2), ValueError, "too many values to unpack (expected 2)"),
+    (5, TypeError, "cannot unpack non-iterable int object"),
+    (None, TypeError, "cannot unpack non-iterable NoneType object"),
+    ((0,), ValueError, "not enough values to unpack (expected 2, got 1)"),
+], ids=repr)
+def test_freeze_table_rejects_values_that_are_not_pairs(value, error, message):
+    with pytest.raises(error) as info:
+        KModuleStructure(2, 1, 3, 1, {(M(0), S(0)): value})
+    assert str(info.value) == message

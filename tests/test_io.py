@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import modbasis.io
 from modbasis import (
+    GenSpec,
     KModuleStructure,
     ModuleOverAlgebra,
     NAryAlgebra,
@@ -443,3 +447,101 @@ def test_reader_and_validate_quote_a_value_alike(tmp_path, value):
     shown = str(schema.value).removeprefix("unsupported format_version ")
     assert invalid.value.violations == (f"entry 0: target {shown} outside 0..1",)
     assert (shown == repr(value)) == (len(repr(value)) <= 41)
+
+
+def test_read_peak_memory_stays_near_the_parse(tmp_path):
+    # The decode loop drops each raw entry once it is decoded, so the table
+    # grows while the JSON tree shrinks; holding both costs about 1.7x.
+    spec = GenSpec(seed=7, n=2, k=1, module_dim=200, space_dim=100,
+                   density=Fraction(1, 2))
+    text = dumps_document(random_structure(spec))
+    path = tmp_path / "large.json"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        structure = read_document(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(structure.table) > 19_000
+    assert read_peak <= 1.2 * parse_peak
+
+
+def _count_parses(monkeypatch) -> list:
+    calls = []
+
+    def loads(text):
+        calls.append(len(text))
+        return json.loads(text)
+
+    proxy = SimpleNamespace(loads=loads, dumps=json.dumps)
+    monkeypatch.setattr(modbasis.io, "json", proxy)
+    return calls
+
+
+@pytest.mark.parametrize("obj", [make_e1(), make_e2(), make_e4(), make_e4().algebra],
+                         ids=["e1", "e2", "pair", "algebra"])
+def test_a_clean_read_parses_once(tmp_path, monkeypatch, obj):
+    path = tmp_path / "doc.json"
+    write_document(obj, path)
+    calls = _count_parses(monkeypatch)
+    assert read_document(path) == obj
+    assert len(calls) == 1
+
+
+def _entries_doc(tmp_path, kind, module_dim, space_dim, rows):
+    doc = {
+        "format_version": 1, "kind": kind,
+        "n": 2, "k": 1, "module_dim": module_dim, "space_dim": space_dim,
+        "entries": [
+            {"slots": [{tag: index} for tag, index in slots], "target": target,
+             "coeff": 1}
+            for slots, target in rows
+        ],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_k_module_messages_name_first_positions_of_late_entries(tmp_path, monkeypatch):
+    path = _entries_doc(tmp_path, "k-module", 4, 1, [
+        ((M(0), S(0)), 0),
+        ((M(1), S(0)), 1),
+        ((M(2), S(0)), 2),
+        ((M(3), S(0)), 9),
+        ((M(1), S(0)), 0),
+        ((M(3), S(0)), 3),
+    ])
+    calls = _count_parses(monkeypatch)
+    with pytest.raises(ValidationError) as info:
+        read_document(path)
+    assert list(info.value.violations) == [
+        "entry 4: duplicate of entry 1",
+        "entry 5: duplicate of entry 3",
+        "entry 3: target 9 outside 0..3",
+    ]
+    assert len(calls) == 2
+
+
+def test_pair_messages_name_first_positions_behind_algebra_entries(tmp_path):
+    path = _entries_doc(tmp_path, "module-over-algebra", 2, 2, [
+        ((S(0), S(0)), 0),
+        ((S(1), S(1)), 1),
+        ((S(0), S(1)), 1),
+        ((M(0), S(0)), 0),
+        ((M(1), S(1)), 1),
+        ((M(1), S(0)), 7),
+        ((M(0), S(0)), 1),
+        ((M(1), S(0)), 0),
+    ])
+    with pytest.raises(ValidationError) as info:
+        read_document(path)
+    assert list(info.value.violations) == [
+        "entry 6: duplicate of entry 3",
+        "entry 7: duplicate of entry 5",
+        "entry 5: target 7 outside 0..1",
+    ]
