@@ -14,12 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .connections import components, components_oracle, find_connection
-from .core import (
-    KModuleStructure,
-    NAryAlgebra,
-    enumeration_budget,
-    placement_space_size,
-)
+from .core import KModuleStructure, NAryAlgebra
 from .decomposition import decompose
 from .errors import (
     ArityMismatch,
@@ -27,6 +22,7 @@ from .errors import (
     DimensionError,
     DocumentError,
     ValidationError,
+    echo,
 )
 from .generators import GenSpec, random_structure
 from .io import export_dot, read_document, write_document
@@ -42,13 +38,6 @@ def _load_structure(path) -> KModuleStructure:
     obj = read_document(path)
     if not isinstance(obj, KModuleStructure):
         raise DimensionError(f"{path}: expected a k-module document")
-    size = placement_space_size(obj.n, obj.k, obj.module_dim, obj.space_dim)
-    if size > enumeration_budget():
-        print(
-            f"warning: placement space has {size} candidates, over the "
-            f"enumeration budget {enumeration_budget()}",
-            file=sys.stderr,
-        )
     return obj
 
 
@@ -191,14 +180,11 @@ def _cmd_semidirect(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = GenSpec(
-        seed=args.seed,
-        n=args.n,
-        k=args.k,
-        module_dim=args.dim_i,
-        space_dim=args.dim_j,
-        density=Fraction(args.density),
-    )
+    try:
+        density = Fraction(args.density)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"density must be a number, got {echo(args.density)}")
+    spec = GenSpec(args.seed, args.n, args.k, args.dim_i, args.dim_j, density)
     structure = random_structure(spec)
     write_document(structure, args.output)
     print(f"wrote {args.output} ({len(structure.table)} entries)")

@@ -24,7 +24,7 @@ from .core import (
     placement_space_multiset,
     support,
 )
-from .errors import BudgetError, DimensionError, InvalidWitness
+from .errors import BudgetError, DimensionError, InvalidWitness, echo
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -228,9 +228,8 @@ def _check_index(structure: KModuleStructure, index: int):
     # validate's test: a bool or a float is no index, even where it
     # compares in range.
     if type(index) is not int or not 0 <= index < structure.module_dim:
-        raise DimensionError(
-            f"index {index} outside 0..{structure.module_dim - 1}"
-        )
+        dim = echo(structure.module_dim - 1)
+        raise DimensionError(f"index {echo(index)} outside 0..{dim}")
 
 
 def mu(structure: KModuleStructure, index: int, step: Step) -> set[int]:
@@ -272,7 +271,8 @@ def components(structure: KModuleStructure) -> ComponentPartition:
     return _index_of(structure).partition()
 
 
-def _all_steps(structure: KModuleStructure) -> list[Step]:
+def _all_steps(structure: KModuleStructure, charge: int, budget: int) -> list[Step]:
+    # Raises BudgetError as soon as ``charge`` per step passes ``budget``.
     module_choices = combinations_with_replacement(
         range(structure.module_dim), structure.k - 1
     )
@@ -283,6 +283,8 @@ def _all_steps(structure: KModuleStructure) -> list[Step]:
         ):
             steps.append(Step(FORWARD, module_args, space_args))
             steps.append(Step(BACKWARD, module_args, space_args))
+            if len(steps) * charge > budget:
+                raise BudgetError(f"chain enumeration passed {budget} candidates")
     return steps
 
 
@@ -327,13 +329,16 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
     (entry, step) candidates passes the configured budget.
     """
     if max_depth < 1:
-        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
+        raise ValueError(f"max_depth must be at least 1, got {echo(max_depth)}")
     budget = enumeration_budget()
     entries = [
         (placement_module_multiset(p), placement_space_multiset(p), target)
         for p, target, _ in support(structure)
     ]
-    steps = _all_steps(structure)
+    # Start index 0 pays len(entries) + 1 per step at depth 1, so the step
+    # list stops where that passes the budget; with no start index, no step.
+    charge = len(entries) + 1
+    steps = _all_steps(structure, charge, budget) if structure.module_dim > 0 else []
     cost = 0
     cells: list[set[int]] = []
     for start in range(structure.module_dim):
@@ -345,7 +350,7 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
             next_frontier = []
             for node in frontier:
                 for step in steps:
-                    cost += len(entries) + 1
+                    cost += charge
                     if cost > budget:
                         raise BudgetError(
                             f"chain enumeration passed {budget} candidates"

@@ -171,15 +171,15 @@ def placement_space_multiset(placement) -> tuple[int, ...]:
 def validate(structure: KModuleStructure) -> list[Violation]:
     """Check every structural invariant; an empty report means valid."""
     report = []
-    if structure.n < 1:
-        report.append(Violation("arity", f"arity must be at least 1, got {structure.n}"))
-    if not 1 <= structure.k <= structure.n:
-        report.append(
-            Violation("k-range", f"k must lie in 1..{structure.n}, got {structure.k}")
-        )
+    n, k = structure.n, structure.k
+    if n < 1:
+        report.append(Violation("arity", f"arity must be at least 1, got {echo(n)}"))
+    if not 1 <= k <= n:
+        message = f"k must lie in 1..{echo(n)}, got {echo(k)}"
+        report.append(Violation("k-range", message))
     if structure.module_dim < 0 or structure.space_dim < 0:
         report.append(Violation("dims", "dimensions must be nonnegative"))
-    if structure.k < structure.n and structure.space_dim < 1 and structure.table:
+    if k < n and structure.space_dim < 1 and structure.table:
         report.append(
             Violation(
                 "space-dim",
@@ -218,7 +218,7 @@ def _entry_violations(structure: KModuleStructure) -> list[Violation]:
 def _placement_violations(structure: KModuleStructure, placement, report: list) -> list:
     """Append the breaches of one placement to ``report`` and return it."""
     if len(placement) != structure.n:
-        message = f"placement has {len(placement)} slots, expected {structure.n}"
+        message = f"placement has {len(placement)} slots, expected {echo(structure.n)}"
         report.append(Violation("length", message, placement))
     module_count = 0
     for tag, index in placement:
@@ -236,7 +236,8 @@ def _placement_violations(structure: KModuleStructure, placement, report: list) 
             message = f"{side} index {echo(index)} outside 0..{echo(dim - 1)}"
             report.append(Violation("slot-range", message, placement))
     if module_count != structure.k:
-        message = f"placement has {module_count} module slots, expected {structure.k}"
+        expected = echo(structure.k)
+        message = f"placement has {module_count} module slots, expected {expected}"
         report.append(Violation("slot-count", message, placement))
     return report
 

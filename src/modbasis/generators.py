@@ -20,8 +20,9 @@ from .core import (
     KModuleStructure,
     enumeration_budget,
     placement_space_size,
+    validate,
 )
-from .errors import BudgetError, SymmetrizeConflict
+from .errors import BudgetError, SymmetrizeConflict, echo
 
 COEFFICIENT_POOL = (
     Fraction(1),
@@ -52,19 +53,34 @@ class GenSpec:
 
 
 def _check_spec(spec: GenSpec):
-    if spec.n < 1:
-        raise ValueError(f"arity must be at least 1, got {spec.n}")
-    if not 1 <= spec.k <= spec.n:
-        raise ValueError(f"k must lie in 1..{spec.n}, got {spec.k}")
-    if spec.module_dim < 0 or spec.space_dim < 0:
-        raise ValueError("dimensions must be nonnegative")
+    """validate's header rules, on an empty table of the spec's shape, and
+    the density range."""
+    shape = KModuleStructure(spec.n, spec.k, spec.module_dim, spec.space_dim, {})
+    for violation in validate(shape):
+        raise ValueError(violation.message)
     if not 0 <= spec.density <= 1:
-        raise ValueError(f"density must lie in [0, 1], got {spec.density}")
+        num, den = spec.density.as_integer_ratio()
+        shown = echo(num) + (f"/{echo(den)}" if den > 1 else "")
+        raise ValueError(f"density must lie in [0, 1], got {shown}")
+
+
+def _space_exceeds(n, k, module_dim, space_dim, budget: int) -> bool:
+    """Whether ``placement_space_size`` passes ``budget``, computing no power
+    past it: ``b**e >= 2**e`` for ``b >= 2``, ``comb(n, k) >= 2**min(k, n - k)``."""
+    bits = budget.bit_length()
+    powers = ((module_dim, k), (space_dim, n - k))
+    if any(base == 0 < exponent for base, exponent in powers):
+        return budget < 0  # the space is empty
+    if min(k, n - k) >= bits or any(b > 1 and e >= bits for b, e in powers):
+        return True
+    return placement_space_size(n, k, module_dim, space_dim) > budget
 
 
 def _all_placements(
     n: int, k: int, module_dim: int, space_dim: int
 ) -> Iterator[tuple]:
+    if module_dim == 0 < k or space_dim == 0 < n - k:
+        return  # a slot on an empty side: no placement at all
     for module_positions in combinations(range(n), k):
         chosen = set(module_positions)
         for module_fill in product(range(module_dim), repeat=k):
@@ -89,24 +105,18 @@ def random_structure(spec: GenSpec) -> KModuleStructure:
     enumerate.
     """
     _check_spec(spec)
-    size = placement_space_size(spec.n, spec.k, spec.module_dim, spec.space_dim)
-    if size > enumeration_budget():
-        raise BudgetError(
-            f"placement space has {size} candidates, budget is "
-            f"{enumeration_budget()}"
-        )
+    shape = (spec.n, spec.k, spec.module_dim, spec.space_dim)
+    budget = enumeration_budget()
+    if _space_exceeds(*shape, budget):
+        raise BudgetError(f"placement space has more than {budget} candidates")
     rng = random.Random(spec.seed)
     table = {}
-    for placement in _all_placements(
-        spec.n, spec.k, spec.module_dim, spec.space_dim
-    ):
+    for placement in _all_placements(*shape):
         if rng.random() < spec.density:
             target = rng.randrange(spec.module_dim)
             coeff = rng.choice(COEFFICIENT_POOL)
             table[placement] = (target, coeff)
-    return KModuleStructure(
-        spec.n, spec.k, spec.module_dim, spec.space_dim, table
-    )
+    return KModuleStructure(*shape, table)
 
 
 def _add_witness(witnesses: dict, placement, target: int):

@@ -22,10 +22,12 @@ table, keys and targets as written.  It parses each coefficient once,
 from the groups of the ``_COEFF`` match, into a ``Fraction``, which the
 ``KModuleStructure`` and ``NAryAlgebra`` constructors keep as it is
 (they convert any other value); ``validate`` checks keys and targets of
-the action.  Each raw entry is released once it is decoded, so the JSON
-tree shrinks while the table grows and the read never holds two copies
-of the document.  Only a message that names an entry position needs the
-entries again; it gets them by parsing the text a second time.  Cyclic
+the action.  Every read parses the text once.  Each raw entry is
+released once it is decoded, so the JSON tree shrinks while the table
+grows and the read never holds two copies of the document.  A message
+that names an entry position takes it from filing order: the action
+keeps its placements in order of first occurrence, so the first entry of
+each is found by skipping the duplicates and algebra entries.  Cyclic
 garbage collection is paused from the JSON parse through ``validate``: a
 large read allocates objects by the hundred thousand, and what it drops
 is freed by reference counting, so collections during it would only
@@ -137,10 +139,10 @@ def read_document(path):
     document shape, and ValidationError, listing every breach, when the
     decoded data violates structural invariants.
 
-    Each entry of the parsed JSON is dropped as soon as it is decoded.
-    A clean read parses the text once; a duplicate placement or a
-    violation in the action parses it a second time, to name the first
-    entry of each placement.
+    The text is parsed once, and each entry of the parsed JSON is
+    dropped as soon as it is decoded.  A message about a duplicate
+    placement or a violation in the action names the placement's first
+    entry, whose position follows from the order the action was filed in.
 
     Cyclic garbage collection is paused for the length of the read, in
     every thread of the process, and afterwards left on or off as it was
@@ -182,7 +184,7 @@ def _decode(text: str, path):
         raise SchemaError("field 'entries' must be a list")
 
     algebra, action = {}, {}
-    algebra_problems, duplicates = [], []
+    algebra_problems, duplicates, unfiled = [], [], set()
     for position, raw in enumerate(raw_entries):
         placement, target, coeff = _entry(raw, position)
         raw_entries[position] = None  # frees the entry's JSON objects
@@ -192,12 +194,15 @@ def _decode(text: str, path):
         ):
             if placement in action:
                 duplicates.append((position, placement))
+                unfiled.add(position)
             else:
                 action[placement] = (target, coeff)
             continue
+        if kind == "module-over-algebra":
+            unfiled.add(position)
         key = tuple(index for _, index in placement)
         if len(placement) != n or any(tag != SPACE_TAG for tag, _ in placement):
-            problem = f"algebra entries use {n} space slots"
+            problem = f"algebra entries use {echo(n)} space slots"
         elif any(not 0 <= j < dim for j in key) or not 0 <= target < dim:
             problem = f"index outside 0..{echo(dim - 1)}"
         elif coeff == 0:
@@ -217,7 +222,10 @@ def _decode(text: str, path):
     violations = validate(structure)
     problems = algebra_problems
     if duplicates or violations:
-        first = _first_positions(text, action)
+        # ``action`` is in filing order, and the positions it filed are
+        # those of neither a duplicate nor an algebra entry.
+        filed = (p for p in range(len(raw_entries)) if p not in unfiled)
+        first = dict(zip(action, filed))
         problems += [f"entry {position}: duplicate of entry {first[placement]}"
                      for position, placement in duplicates]
         for violation in violations:
@@ -230,19 +238,6 @@ def _decode(text: str, path):
     if kind == "module-over-algebra":
         return ModuleOverAlgebra(NAryAlgebra(n, dim, algebra), structure)
     return structure
-
-
-def _first_positions(text: str, action) -> dict:
-    """Position of the first entry of each action placement.  The decode
-    loop released the entries, so this parses the text a second time, only
-    when a message needs a position; every entry decoded the first time,
-    and algebra placements are all-space, which no action key is."""
-    first = {}
-    for position, raw in enumerate(json.loads(text)["entries"]):
-        placement = _entry(raw, position)[0]
-        if placement in action:
-            first.setdefault(placement, position)
-    return first
 
 
 def _algebra_rows(algebra: NAryAlgebra):

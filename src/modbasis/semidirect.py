@@ -21,7 +21,7 @@ from .core import (
     support,
 )
 from .decomposition import decompose
-from .errors import ArityMismatch
+from .errors import ArityMismatch, echo
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,15 @@ class PairingReport:
 
 
 def _check_pair(pair: ModuleOverAlgebra):
-    if pair.algebra.n != pair.action.n:
+    algebra, action = pair.algebra, pair.action
+    if algebra.n != action.n:
         raise ArityMismatch(
-            f"algebra arity {pair.algebra.n} != action arity {pair.action.n}"
+            f"algebra arity {echo(algebra.n)} != action arity {echo(action.n)}"
         )
-    if pair.algebra.dim != pair.action.space_dim:
+    if algebra.dim != action.space_dim:
         raise ArityMismatch(
-            f"algebra dimension {pair.algebra.dim} != action space dimension "
-            f"{pair.action.space_dim}"
+            f"algebra dimension {echo(algebra.dim)} != action space dimension "
+            f"{echo(action.space_dim)}"
         )
 
 

@@ -104,6 +104,82 @@ def test_validate_echoes_a_bounded_part_of_a_huge_dimension(tmp_path, capsys):
     assert len(lines[0].encode()) < 300 and not captured.err
 
 
+_HUGE = "9" * 4000
+
+
+def _header_doc(path, n, k, kind="k-module", slots=("m", "s")):
+    path.write_text(
+        f'{{"format_version": 1, "kind": "{kind}", "n": {n}, "k": {k},'
+        ' "module_dim": 2, "space_dim": 2, "entries": [{"slots": ['
+        + ", ".join(f'{{"{tag}": 0}}' for tag in slots)
+        + '], "target": 0, "coeff": 1}]}'
+    )
+    return str(path)
+
+
+def _semidirect_argv(path):
+    algebra = path.with_name("algebra.json")
+    write_document(make_e4().algebra, algebra)
+    path.write_text(
+        f'{{"format_version": 1, "kind": "k-module", "n": {_HUGE}, "k": 1,'
+        ' "module_dim": 2, "space_dim": 2, "entries": []}'
+    )
+    return ["semidirect", "--algebra", str(algebra), "--action", str(path)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda p: ["validate", _header_doc(p, f"-{_HUGE}", _HUGE)], 1),
+    (lambda p: ["validate", _header_doc(p, _HUGE, 1)], 1),
+    (lambda p: ["validate", _header_doc(p, 2, _HUGE)], 1),
+    (lambda p: ["validate", _header_doc(p, _HUGE, 1, "module-over-algebra",
+                                        ("s", "s"))], 1),
+    (_semidirect_argv, 2),
+    (lambda p: ["connect", _header_doc(p, 2, 1), "--from", _HUGE, "--to", "0"], 2),
+    (lambda p: ["oracle", _header_doc(p, 2, 1), "--max-depth", f"-{_HUGE}"], 2),
+    (lambda p: ["generate", "--seed", "0", "--n", f"-{_HUGE}", "--k", "1",
+                "--dim-i", "1", "--dim-j", "1", "--density", "0", "-o", str(p)], 2),
+    (lambda p: ["generate", "--seed", "0", "--n", "2", "--k", _HUGE,
+                "--dim-i", "1", "--dim-j", "1", "--density", "0", "-o", str(p)], 2),
+    (lambda p: ["generate", "--seed", "0", "--n", "2", "--k", "1", "--dim-i", "1",
+                "--dim-j", "1", "--density", f"x{_HUGE}", "-o", str(p)], 2),
+    (lambda p: ["generate", "--seed", "0", "--n", "2", "--k", "1", "--dim-i", "1",
+                "--dim-j", "1", "--density", f"-{_HUGE}", "-o", str(p)], 2),
+    (lambda p: ["generate", "--seed", "0", "--n", "2", "--k", "1", "--dim-i", "1",
+                "--dim-j", "1", "--density", f"{_HUGE}/7", "-o", str(p)], 2),
+    (lambda p: ["generate", "--seed", "0", "--n", "2", "--k", "1", "--dim-i", "1",
+                "--dim-j", "1", "--density", "3/0", "-o", str(p)], 2),
+], ids=["validate-n-and-k", "validate-length", "validate-k", "validate-algebra-arity",
+        "semidirect-arity", "connect-from", "oracle-depth", "generate-n", "generate-k",
+        "generate-density-text", "generate-density-low", "generate-density-high",
+        "generate-density-zero-denominator"])
+def test_every_echoed_value_is_bounded(tmp_path, capsys, argv, code):
+    assert cli_main(argv(tmp_path / "doc.json")) == code
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert lines and all(len(line.encode()) < 300 for line in lines)
+    if code == 2:
+        assert not captured.out and len(lines) == 1
+        assert captured.err.startswith("error: ")
+    else:
+        assert all(line.startswith("invalid: ") for line in lines)
+
+
+@pytest.mark.parametrize("n, space_dim", [(10**5, 3), (8, 10)])
+def test_structure_commands_do_not_size_the_placement_space(
+    tmp_path, capsys, n, space_dim
+):
+    # n * space_dim**(n - 1) possible placements, past the budget, none
+    # stored: nothing is enumerated, so nothing is sized or reported.
+    path = tmp_path / "doc.json"
+    path.write_text(
+        f'{{"format_version": 1, "kind": "k-module", "n": {n}, "k": 1,'
+        f' "module_dim": 1, "space_dim": {space_dim}, "entries": []}}'
+    )
+    for argv in (["decompose", str(path)], ["check", str(path), "--minimal"]):
+        assert cli_main(argv) == 0
+    assert capsys.readouterr() == ("components: 1\n  [0]: 0\ntrue\n", "")
+
+
 def test_validate_unreadable_input(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["validate", str(missing)]) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import chain, combinations
 
 import pytest
@@ -161,6 +162,28 @@ def test_oracle_budget_exhaustion(e1, monkeypatch):
     monkeypatch.setenv("MODBASIS_BUDGET", "5")
     with pytest.raises(BudgetError):
         components_oracle(e1, 6)
+
+
+def test_oracle_budget_stops_the_step_list(monkeypatch):
+    # 2 * multichoose(20, 6) = 354,200 steps; each costs two candidates at
+    # start index 0, so the budget is passed after 500 of them.
+    placement = (("m", 0),) + (("s", 0),) * 6
+    structure = KModuleStructure(7, 1, 1, 20, {placement: (0, 1)})
+    monkeypatch.setenv("MODBASIS_BUDGET", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="chain enumeration passed 1000"):
+            components_oracle(structure, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_oracle_without_module_indices_takes_no_step(monkeypatch):
+    monkeypatch.setenv("MODBASIS_BUDGET", "1")
+    structure = KModuleStructure(7, 1, 0, 20, {})
+    assert components_oracle(structure, 1) == ComponentPartition([])
 
 
 def test_partition_api(e1):

@@ -74,6 +74,29 @@ def test_random_structure_budget(monkeypatch):
         )
 
 
+def test_random_structure_budget_needs_no_exact_size():
+    # The space has 10**5 * 3**(10**5 - 1) placements, a number too long to
+    # print; the check decides from the factors that it passes the budget.
+    with pytest.raises(BudgetError, match=r"has more than \d+ candidates"):
+        random_structure(
+            GenSpec(seed=0, n=10**5, k=1, module_dim=1, space_dim=3, density=0)
+        )
+
+
+@pytest.mark.parametrize("n, k, dims, size", [
+    (10**5, 10**5, (1, 0), 1),  # one placement, 10**5 module slots
+    (60, 30, (0, 5), 0),  # comb(60, 30) slot choices, none fillable
+    (40, 20, (3, 0), 0),
+])
+def test_random_structure_enumerates_only_what_exists(n, k, dims, size):
+    spec = GenSpec(seed=0, n=n, k=k, module_dim=dims[0], space_dim=dims[1],
+                   density=1)
+    assert placement_space_size(n, k, *dims) == size
+    structure = random_structure(spec)
+    assert len(structure.table) == size
+    assert validate(structure) == []
+
+
 def test_symmetrize_keeps_symmetric_tables():
     e1 = make_e1()
     assert symmetrize(e1) == e1
