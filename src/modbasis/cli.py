@@ -179,11 +179,21 @@ def _cmd_semidirect(args) -> int:
     return 1 if report.violations else 0
 
 
-def _cmd_generate(args) -> int:
+def _density(text: str) -> Fraction:
+    """``--density`` as a Fraction.  ``Fraction`` expands a decimal exponent
+    into an exact power of ten, so the exponent is bounded first, at 4300
+    as coefficients are bounded at 4300 digits."""
+    _, mark, exponent = text.lower().rpartition("e")
     try:
-        density = Fraction(args.density)
+        if not mark or abs(int(exponent)) <= 4300:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"density must be a number, got {echo(args.density)}")
+        raise ValueError(f"density must be a number, got {echo(text)}")
+    raise ValueError(f"density exponent must lie in -4300..4300, got {echo(text)}")
+
+
+def _cmd_generate(args) -> int:
+    density = _density(args.density)
     spec = GenSpec(args.seed, args.n, args.k, args.dim_i, args.dim_j, density)
     structure = random_structure(spec)
     write_document(structure, args.output)

@@ -272,7 +272,8 @@ def components(structure: KModuleStructure) -> ComponentPartition:
 
 
 def _all_steps(structure: KModuleStructure, charge: int, budget: int) -> list[Step]:
-    # Raises BudgetError as soon as ``charge`` per step passes ``budget``.
+    # Raises BudgetError, before building them, once the next two steps
+    # would pass ``budget`` at ``charge`` per step.
     module_choices = combinations_with_replacement(
         range(structure.module_dim), structure.k - 1
     )
@@ -281,10 +282,10 @@ def _all_steps(structure: KModuleStructure, charge: int, budget: int) -> list[St
         for space_args in combinations_with_replacement(
             range(structure.space_dim), structure.n - structure.k
         ):
+            if (len(steps) + 2) * charge > budget:
+                raise BudgetError(f"chain enumeration passed {budget} candidates")
             steps.append(Step(FORWARD, module_args, space_args))
             steps.append(Step(BACKWARD, module_args, space_args))
-            if len(steps) * charge > budget:
-                raise BudgetError(f"chain enumeration passed {budget} candidates")
     return steps
 
 
@@ -326,7 +327,8 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
     overlapping reach sets, so this path shares nothing with
     ``components``.  A depth of twice the module dimension always
     saturates.  Raises BudgetError once the number of scanned
-    (entry, step) candidates passes the configured budget.
+    (entry, step) candidates passes the configured budget; building the
+    step list also charges each step the arguments it holds.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be at least 1, got {echo(max_depth)}")
@@ -335,10 +337,12 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
         (placement_module_multiset(p), placement_space_multiset(p), target)
         for p, target, _ in support(structure)
     ]
-    # Start index 0 pays len(entries) + 1 per step at depth 1, so the step
-    # list stops where that passes the budget; with no start index, no step.
+    # Start index 0 pays len(entries) + 1 per step at depth 1, and each step
+    # holds n - 1 arguments, so the step list stops where their sum passes
+    # the budget, which bounds its memory too; with no start index, no step.
     charge = len(entries) + 1
-    steps = _all_steps(structure, charge, budget) if structure.module_dim > 0 else []
+    steps = (_all_steps(structure, charge + structure.n - 1, budget)
+             if structure.module_dim > 0 else [])
     cost = 0
     cells: list[set[int]] = []
     for start in range(structure.module_dim):

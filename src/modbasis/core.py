@@ -151,7 +151,7 @@ class SigmaEntry:
 
 @dataclass(frozen=True)
 class Violation:
-    """A single invariant breach found by ``validate``."""
+    """A single invariant breach found by ``validate`` or ``validate_algebra``."""
 
     code: str
     message: str
@@ -191,9 +191,8 @@ def validate(structure: KModuleStructure) -> list[Violation]:
 
 
 def _entry_violations(structure: KModuleStructure) -> list[Violation]:
-    """Every breach of the entries, placements in sorted order (in table
-    order where slot values do not compare).  One pass in table order; only
-    a report that is not empty is then sorted."""
+    """Every breach of the entries.  One pass in table order; only a report
+    that is not empty is then sorted."""
     report = []
     module_dim = structure.module_dim
     for placement, (target, coeff) in structure.table.items():
@@ -205,11 +204,16 @@ def _entry_violations(structure: KModuleStructure) -> list[Violation]:
             report.append(
                 Violation("zero-coefficient", "stored coefficient is zero", placement)
             )
+    return _in_key_order(report, structure.table)
+
+
+def _in_key_order(report: list, table) -> list:
+    """``report`` ordered by the sorted keys of ``table`` (left in table
+    order where the keys do not compare)."""
     if report:
         try:
-            order = {placement: rank
-                     for rank, placement in enumerate(sorted(structure.table))}
-        except TypeError:  # slot values of unorderable types
+            order = {key: rank for rank, key in enumerate(sorted(table))}
+        except TypeError:  # key values of unorderable types
             return report
         report.sort(key=lambda violation: order[violation.placement])
     return report
@@ -240,6 +244,34 @@ def _placement_violations(structure: KModuleStructure, placement, report: list) 
         message = f"placement has {module_count} module slots, expected {expected}"
         report.append(Violation("slot-count", message, placement))
     return report
+
+
+def algebra_entry_violation(n: int, dim: int, key, target, coeff) -> Optional[Violation]:
+    """The first rule that one algebra product breaks, or None: a key that is
+    no tuple of n indices, then an index or target that is no ``int`` in
+    0..dim-1, then a zero coefficient.  The reader judges each algebra entry
+    with it as the entry is filed; ``validate_algebra`` loops it over a table."""
+    if type(key) is not tuple or len(key) != n:
+        return Violation("length", f"algebra entries use {echo(n)} space slots", key)
+    # A bool or a float is no index, even where it compares in range.
+    if any(type(index) is not int or not 0 <= index < dim for index in (*key, target)):
+        return Violation("index-range", f"index outside 0..{echo(dim - 1)}", key)
+    if not coeff.numerator:
+        return Violation("zero-coefficient", "stored coefficient is zero", key)
+    return None
+
+
+def validate_algebra(algebra: NAryAlgebra) -> list[Violation]:
+    """Check every product of an algebra; an empty report means valid.  Each
+    breaking key gets one violation, its first, with keys in sorted order
+    (in table order where they do not compare)."""
+    n, dim = algebra.n, algebra.dim
+    report = []
+    for key, (target, coeff) in algebra.table.items():
+        violation = algebra_entry_violation(n, dim, key, target, coeff)
+        if violation is not None:
+            report.append(violation)
+    return _in_key_order(report, algebra.table)
 
 
 def _resolve_sigma(n: int, k: int, entry: SigmaEntry):

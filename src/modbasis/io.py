@@ -17,12 +17,13 @@ least 1.  Output is canonical: entries sorted by slot sequence,
 lowest-term coefficients, fixed key order, two-space indentation, so
 write of read of write is byte-identical.
 
-The reader checks the JSON shape of each entry and puts it into its
-table, keys and targets as written.  It parses each coefficient once,
-from the groups of the ``_COEFF`` match, into a ``Fraction``, which the
-``KModuleStructure`` and ``NAryAlgebra`` constructors keep as it is
-(they convert any other value); ``validate`` checks keys and targets of
-the action.  Every read parses the text once.  Each raw entry is
+The reader checks the JSON shape of each entry and files it into its
+table, keys and targets as written, and ``core`` judges the entries:
+each algebra entry as it is filed, by ``algebra_entry_violation`` (the
+reader adds only the duplicate check), the action once it is filed, by
+``validate``.  Each coefficient is parsed once, from the groups of the
+``_COEFF`` match, into a ``Fraction``, which the table constructors
+keep as it is.  Every read parses the text once.  Each raw entry is
 released once it is decoded, so the JSON tree shrinks while the table
 grows and the read never holds two copies of the document.  A message
 that names an entry position takes it from filing order: the action
@@ -53,6 +54,7 @@ from .core import (
     SPACE_TAG,
     KModuleStructure,
     NAryAlgebra,
+    algebra_entry_violation,
     support,
     validate,
 )
@@ -200,18 +202,15 @@ def _decode(text: str, path):
             continue
         if kind == "module-over-algebra":
             unfiled.add(position)
-        key = tuple(index for _, index in placement)
-        if len(placement) != n or any(tag != SPACE_TAG for tag, _ in placement):
-            problem = f"algebra entries use {echo(n)} space slots"
-        elif any(not 0 <= j < dim for j in key) or not 0 <= target < dim:
-            problem = f"index outside 0..{echo(dim - 1)}"
-        elif coeff == 0:
-            problem = "stored coefficient is zero"
-        elif key in algebra:
-            problem = "duplicate product"
-        else:
+        # An entry with a module slot has no algebra key; core judges the rest.
+        key = None
+        if all(tag == SPACE_TAG for tag, _ in placement):
+            key = tuple(index for _, index in placement)
+        violation = algebra_entry_violation(n, dim, key, target, coeff)
+        if violation is None and key not in algebra:
             algebra[key] = (target, coeff)
             continue
+        problem = "duplicate product" if violation is None else violation.message
         algebra_problems.append(f"entry {position}: {problem}")
 
     if kind == "n-ary-algebra":

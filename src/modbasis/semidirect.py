@@ -19,9 +19,11 @@ from .core import (
     placement_module_multiset,
     placement_space_multiset,
     support,
+    validate,
+    validate_algebra,
 )
 from .decomposition import decompose
-from .errors import ArityMismatch, echo
+from .errors import ArityMismatch, ValidationError, echo
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,15 @@ def _check_pair(pair: ModuleOverAlgebra):
             f"algebra dimension {echo(algebra.dim)} != action space dimension "
             f"{echo(action.space_dim)}"
         )
+    problems = []
+    for side, report in (("algebra", validate_algebra(algebra)),
+                         ("action", validate(action))):
+        for violation in report:
+            key = violation.placement
+            where = "" if key is None else f" {echo(key)}"
+            problems.append(f"{side}{where}: {violation.message}")
+    if problems:
+        raise ValidationError(problems)
 
 
 def build_semidirect(pair: ModuleOverAlgebra) -> CombinedStructure:
@@ -110,7 +121,9 @@ def build_semidirect(pair: ModuleOverAlgebra) -> CombinedStructure:
     Algebra entries become all-module entries shifted past the module
     block; action entries keep their module slots and turn their space
     slots into shifted module slots.  Everything else multiplies to
-    zero.
+    zero.  Raises ArityMismatch when the two tables do not fit together,
+    and then ValidationError, naming each table and key, when
+    ``validate_algebra`` or ``validate`` reports anything.
     """
     _check_pair(pair)
     v_dim = pair.action.module_dim
@@ -158,7 +171,8 @@ def pairing(pair: ModuleOverAlgebra) -> PairingReport:
     class, its space occupants pick an algebra-side class.  The votes
     must be consistent per entry and per class, and the resulting map
     must be a bijection between the active class lists; anything else is
-    recorded as a violation.
+    recorded as a violation.  Tables that do not fit together or do not
+    validate raise as in ``build_semidirect``.
     """
     combined = build_semidirect(pair)
     comps = decompose_combined(combined)

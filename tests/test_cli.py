@@ -345,6 +345,38 @@ def test_generate_accepts_fraction_density(tmp_path):
     assert read_document(out).space_dim == 0
 
 
+@pytest.mark.parametrize("text, same_as", [
+    ("0.5", "1/2"), ("1e-3", "1/1000"), ("1E+0", "1"),
+])
+def test_generate_density_forms(tmp_path, text, same_as):
+    def generate(density, name):
+        out = tmp_path / name
+        assert cli_main(["generate", "--seed", "3", "--n", "3", "--k", "1",
+                         "--dim-i", "6", "--dim-j", "4", "--density", density,
+                         "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    assert generate(text, "text.json") == generate(same_as, "fraction.json")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1e-10000000", "density exponent must lie in -4300..4300, got '1e-10000000'"),
+    ("1e4301", "density exponent must lie in -4300..4300, got '1e4301'"),
+    ("1e-" + "1" * 5000, "density must be a number, got '1e-111111111...1111111111111'"),
+])
+def test_generate_bounds_the_density_exponent(tmp_path, text, message):
+    # Fraction would expand 1e-10000000 into an exact 10**10**7 before the
+    # range check, which takes seconds; the exponent is refused first.
+    env = {**os.environ, "PYTHONPATH": str(Path(modbasis.__file__).parents[1])}
+    argv = [sys.executable, "-m", "modbasis.cli", "generate", "--seed", "0",
+            "--n", "2", "--k", "1", "--dim-i", "2", "--dim-j", "2",
+            "--density", text, "-o", str(tmp_path / "out.json")]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_oracle_agreement(e1_path, capsys):
     assert cli_main(["oracle", e1_path]) == 0
     assert "partitions agree (2 classes)" in capsys.readouterr().out

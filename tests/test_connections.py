@@ -165,19 +165,28 @@ def test_oracle_budget_exhaustion(e1, monkeypatch):
 
 
 def test_oracle_budget_stops_the_step_list(monkeypatch):
-    # 2 * multichoose(20, 6) = 354,200 steps; each costs two candidates at
-    # start index 0, so the budget is passed after 500 of them.
-    placement = (("m", 0),) + (("s", 0),) * 6
-    structure = KModuleStructure(7, 1, 1, 20, {placement: (0, 1)})
-    monkeypatch.setenv("MODBASIS_BUDGET", "1000")
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError, match="chain enumeration passed 1000"):
-            components_oracle(structure, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 2**20
+    inputs = [
+        # 2 * multichoose(20, 6) = 354,200 steps; each costs two candidates
+        # at start index 0 and holds six arguments, so the budget is passed
+        # after 124 of them.
+        (KModuleStructure(7, 1, 1, 20, {(("m", 0),) + (("s", 0),) * 6: (0, 1)}), 1000),
+        # No entries, but each step holds 99,999 space arguments (about
+        # 0.8 MB): charged only for its scan, 52 such steps (44 MB) would be
+        # built before the budget stopped them; charged for its arguments
+        # too, none is.
+        (KModuleStructure(10**5, 1, 1, 3, {}), 50),
+    ]
+    for structure, budget in inputs:
+        monkeypatch.setenv("MODBASIS_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            message = f"chain enumeration passed {budget} candidates$"
+            with pytest.raises(BudgetError, match=message):
+                components_oracle(structure, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 def test_oracle_without_module_indices_takes_no_step(monkeypatch):

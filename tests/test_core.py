@@ -13,6 +13,7 @@ from modbasis import (
     CollisionError,
     DimensionError,
     KModuleStructure,
+    NAryAlgebra,
     SigmaEntry,
     Step,
     components,
@@ -23,6 +24,7 @@ from modbasis import (
     placement_space_multiset,
     support,
     validate,
+    validate_algebra,
 )
 from modbasis import module_slot as M, space_slot as S
 
@@ -138,6 +140,38 @@ def test_validate_reports_every_breach():
     }
     report = validate(KModuleStructure(2, 1, 3, 1, table))
     assert _codes(report) == ["slot-range", "target-range", "zero-coefficient"]
+
+
+@pytest.mark.parametrize("key, target, coeff, code, message", [
+    ((0.5, 0), 0, 1, "index-range", "index outside 0..1"),
+    ((True, 0), 0, 1, "index-range", "index outside 0..1"),
+    (("3", 0), 0, 1, "index-range", "index outside 0..1"),
+    ((0, 1), 5, 1, "index-range", "index outside 0..1"),
+    ((0, 1), 0, 0, "zero-coefficient", "stored coefficient is zero"),
+    ((0, 0, 0), 0, 1, "length", "algebra entries use 2 space slots"),
+], ids=["float", "bool", "str", "target", "zero", "arity"])
+def test_validate_algebra_flags_one_product(key, target, coeff, code, message):
+    table = {(0, 0): (0, 1), key: (target, coeff), (1, 1): (1, 1)}
+    report = validate_algebra(NAryAlgebra(2, 2, table))
+    assert [(v.code, v.message, v.placement) for v in report] == [(code, message, key)]
+
+
+def test_validate_algebra_reports_each_key_once_by_the_first_rule_it_breaks():
+    # Arity comes before the range, the range before the coefficient; keys
+    # in sorted order.
+    table = {(1, 9): (9, 0), (0, 0, 5): (5, 0), (0, 0): (0, 1), (True, 1): (0, 0)}
+    report = validate_algebra(NAryAlgebra(2, 2, table))
+    assert [(v.placement, v.message) for v in report] == [
+        ((0, 0, 5), "algebra entries use 2 space slots"),
+        ((True, 1), "index outside 0..1"),
+        ((1, 9), "index outside 0..1"),
+    ]
+    assert validate_algebra(NAryAlgebra(2, 2, {None: (0, 1)}))[0].code == "length"
+
+
+def test_validate_algebra_accepts_fixture_and_empty_algebras(e4):
+    assert validate_algebra(e4.algebra) == []
+    assert validate_algebra(NAryAlgebra(3, 0, {})) == []
 
 
 def test_from_sigma_entries_identity():

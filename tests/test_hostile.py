@@ -5,7 +5,9 @@ generator's output: odd values in headers, slots, targets and
 coefficients, duplicates (in pairs also behind algebra entries), broken
 shapes, truncated or deeply nested text, and large arities with no
 entries.  Every document must give a clean exit code, a one-line error
-on exit 2, a usable answer once it validates, and a byte-stable write.
+on exit 2, a usable answer once it validates (a pairing report for a
+pair), and a byte-stable write.  Library-built pairs get the same odd
+values: each either raises ValidationError or ArityMismatch or pairs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,20 @@ import random
 import re
 from fractions import Fraction
 
-from modbasis import dumps_document, read_document, write_document
+from modbasis import (
+    ArityMismatch,
+    KModuleStructure,
+    ModuleOverAlgebra,
+    NAryAlgebra,
+    PairingReport,
+    ValidationError,
+    dumps_document,
+    pairing,
+    read_document,
+    validate,
+    validate_algebra,
+    write_document,
+)
 from modbasis.cli import cli_main
 
 from conftest import make_e1, make_e1_one_way, make_e2, make_e3, make_e4
@@ -126,6 +141,19 @@ def _mutate(rng, doc: dict):
     return None
 
 
+def _draw(rng, source: dict) -> tuple:
+    """A copy of ``source`` after one to three mutations, and its text."""
+    doc = json.loads(json.dumps(source))
+    text = None
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        if not isinstance(doc.get("entries"), list):
+            break
+        text = _mutate(rng, doc)
+        if text is not None:
+            break
+    return doc, json.dumps(doc) if text is None else text
+
+
 def _run(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -173,6 +201,11 @@ def _check(path, doc) -> tuple:
         minimal = _run(["check", str(path), "--minimal"])
         if decompose[0] != 0 or minimal[0] not in (0, 1):
             problems.append(f"decompose {decompose[::2]}, check {minimal[::2]}")
+    if doc.get("kind") == "module-over-algebra" and (
+        obj.action.module_dim + obj.algebra.dim <= QUERY_DIM
+    ):
+        if not isinstance(pairing(obj), PairingReport):
+            problems.append("pairing returned no report")
     return code, problems
 
 
@@ -182,21 +215,97 @@ def test_hostile_corpus(tmp_path):
     path = tmp_path / "doc.json"
     failures, codes = [], set()
     for number in range(DOCUMENTS):
-        doc = json.loads(json.dumps(sources[number % len(sources)]))
-        text = None
-        for _ in range(rng.choice((1, 1, 2, 3))):
-            if not isinstance(doc.get("entries"), list):
-                break
-            text = _mutate(rng, doc)
-            if text is not None:
-                break
-        path.write_text(json.dumps(doc) if text is None else text)
+        doc, text = _draw(rng, sources[number % len(sources)])
+        path.write_text(text)
         try:
             code, problems = _check(path, doc)
-        except Exception as exc:  # neither the CLI nor a write may raise
+        except Exception as exc:  # neither the CLI, a write nor pairing may raise
             code, problems = None, [f"raised {type(exc).__name__}: {str(exc)[:200]}"]
         codes.add(code)
         if problems:
             failures.append((number, problems))
     assert not failures, failures[:5]
     assert codes == {0, 1, 2}  # the corpus reaches every outcome
+
+
+def _hashable_odd(rng):
+    while True:
+        value = _odd(rng)
+        try:
+            hash(value)
+        except TypeError:
+            continue
+        return value
+
+
+def _fraction_or_none(value):
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return None
+
+
+# The odd values that the table constructors turn into a coefficient.
+COEFFS = tuple(value for value in INTS + ODD if _fraction_or_none(value) is not None)
+
+
+def _mutate_tables(rng, pair) -> ModuleOverAlgebra:
+    """``pair`` with one to three odd keys, targets, coefficients or shapes."""
+    algebra, action = pair.algebra, pair.action
+    n, k, module_dim, dim = action.n, action.k, action.module_dim, algebra.dim
+    products, entries = dict(algebra.table), dict(action.table)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        part = rng.choice(("key", "target", "coeff", "arity", "tag", "header"))
+        table = products if rng.random() < 0.5 else entries
+        if part == "header":
+            n, k, dim = rng.choice(((n + 1, k, dim), (n, k + 1, dim), (n, k, dim + 1)))
+            continue
+        if not table:
+            continue
+        key = rng.choice(list(table))
+        target, coeff = table.pop(key)
+        if part == "key":
+            position = rng.randrange(len(key))
+            value = _hashable_odd(rng)
+            if table is entries:
+                value = (key[position][0], value)
+            key = key[:position] + (value,) + key[position + 1:]
+        elif part == "target":
+            target = _odd(rng)
+        elif part == "coeff":
+            coeff = rng.choice(COEFFS)
+        elif part == "arity":
+            key = key[:-1] if len(key) > 1 and rng.random() < 0.5 else key + key[:1]
+        elif table is entries:  # "tag": only action slots carry one
+            position = rng.randrange(len(key))
+            slot = (_hashable_odd(rng), key[position][1])
+            key = key[:position] + (slot,) + key[position + 1:]
+        table[key] = (target, coeff)
+    space_dim = dim if rng.random() < 0.8 else dim + 1
+    return ModuleOverAlgebra(NAryAlgebra(n, dim, products),
+                             KModuleStructure(n, k, module_dim, space_dim, entries))
+
+
+def test_hostile_library_pairs():
+    rng = random.Random(SEED)
+    sources = [make_e4()] + [random_pair(index) for index in range(6)]
+    outcomes, failures = set(), []
+    for number in range(2000):
+        pair = _mutate_tables(rng, sources[number % len(sources)])
+        fits = (pair.algebra.n == pair.action.n
+                and pair.algebra.dim == pair.action.space_dim)
+        judged = fits and bool(validate_algebra(pair.algebra) or validate(pair.action))
+        try:
+            pairing(pair)
+            outcome = "paired"
+        except (ValidationError, ArityMismatch) as exc:
+            outcome = type(exc).__name__
+        except Exception as exc:  # pairing raises nothing else
+            outcome = f"{type(exc).__name__}: {str(exc)[:200]}"
+        outcomes.add(outcome)
+        expected = ("ArityMismatch" if not fits
+                    else "ValidationError" if judged else "paired")
+        if outcome != expected:
+            failures.append((number, expected, outcome))
+    assert not failures, failures[:5]
+    assert outcomes == {"paired", "ValidationError", "ArityMismatch"}

@@ -11,6 +11,7 @@ from modbasis import (
     KModuleStructure,
     ModuleOverAlgebra,
     NAryAlgebra,
+    ValidationError,
     build_semidirect,
     components,
     components_oracle,
@@ -20,7 +21,12 @@ from modbasis import (
 )
 from modbasis import module_slot as M, space_slot as S
 
+from conftest import make_e4
 from helpers import random_pair
+
+_E4 = make_e4()
+# Space index 7 and target 9 in a two-dimensional action.
+_BAD_ACTION = KModuleStructure(2, 1, 2, 2, {(M(0), S(7)): (9, 1)})
 
 
 def test_build_semidirect_merges_tables(e4):
@@ -54,6 +60,10 @@ def test_build_semidirect_rejects_mismatches(e4):
         build_semidirect(
             ModuleOverAlgebra(NAryAlgebra(2, 1, {}), e4.action)
         )
+    # A mismatch is reported before either table is judged.
+    bad_tables = ModuleOverAlgebra(NAryAlgebra(3, 2, {(0.5, 0): (0, 1)}), _BAD_ACTION)
+    with pytest.raises(ArityMismatch):
+        pairing(bad_tables)
 
 
 def test_empty_pair_combines_to_empty():
@@ -159,3 +169,27 @@ def test_action_classes_embed_in_combined_classes(e4):
         for j in range(e4.action.module_dim):
             if alone.same_class(i, j):
                 assert merged.same_class(i, j)
+
+
+@pytest.mark.parametrize("pair, violations", [
+    (ModuleOverAlgebra(NAryAlgebra(2, 2, {(0.5, 0): (0, 1)}), _E4.action),
+     ("algebra (0.5, 0): index outside 0..1",)),
+    (ModuleOverAlgebra(NAryAlgebra(2, 2, {(0, 0): (5, 1)}), _E4.action),
+     ("algebra (0, 0): index outside 0..1",)),
+    (ModuleOverAlgebra(NAryAlgebra(2, 2, {(0, 0): (0, 0)}), _E4.action),
+     ("algebra (0, 0): stored coefficient is zero",)),
+    (ModuleOverAlgebra(NAryAlgebra(2, 2, {(0, 0, 0): (0, 1)}), _E4.action),
+     ("algebra (0, 0, 0): algebra entries use 2 space slots",)),
+    (ModuleOverAlgebra(_E4.algebra, _BAD_ACTION),
+     ("action (('m', 0), ('s', 7)): space index 7 outside 0..1",
+      "action (('m', 0), ('s', 7)): target 9 outside 0..1")),
+], ids=["algebra-float-index", "algebra-target", "algebra-zero", "algebra-arity",
+        "action-index-and-target"])
+@pytest.mark.parametrize("build", [build_semidirect, pairing])
+def test_invalid_tables_raise_validation_error(build, pair, violations):
+    # Before the judge, the first two and the action raised a bare TypeError
+    # or IndexError, and the other two paired silently.
+    with pytest.raises(ValidationError) as caught:
+        build(pair)
+    assert caught.value.violations == violations
+
