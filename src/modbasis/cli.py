@@ -3,6 +3,14 @@
 Subcommands: validate, decompose, connect, check, semidirect, generate,
 oracle.  Exit codes: 0 for success or a true answer, 1 for a false
 answer or reported violations, 2 for usage and input errors.
+
+A command runs with cyclic garbage collection paused, from the read
+through the printed answer or error, and the collector is then left on
+or off as it was found.  A command reads one document, builds its
+indices and returns: the hundreds of thousands of objects it allocates
+stay live until it ends, and what it drops is freed by reference
+counting, so collections during it would only rescan live data (about
+a sixth of a ``connect`` on a 10^5-entry document).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .errors import (
     echo,
 )
 from .generators import GenSpec, random_structure
-from .io import export_dot, read_document, write_document
+from .io import export_dot, gc_paused, read_document, write_document
 from .minimality import (
     check_minimality_equivalence,
     is_minimal,
@@ -288,6 +296,10 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    return gc_paused(_run, args)
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except (DocumentError, OSError, BudgetError, DimensionError, ArityMismatch,

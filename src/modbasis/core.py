@@ -221,11 +221,21 @@ def _in_key_order(report: list, table) -> list:
 
 def _placement_violations(structure: KModuleStructure, placement, report: list) -> list:
     """Append the breaches of one placement to ``report`` and return it."""
+    if type(placement) is not tuple:
+        message = f"placement {echo(placement)} is not a tuple of slots"
+        report.append(Violation("length", message, placement))
+        return report
     if len(placement) != structure.n:
         message = f"placement has {len(placement)} slots, expected {echo(structure.n)}"
         report.append(Violation("length", message, placement))
     module_count = 0
-    for tag, index in placement:
+    for slot in placement:
+        try:
+            tag, index = slot
+        except (TypeError, ValueError):
+            message = f"slot {echo(slot)} is not a (tag, index) pair"
+            report.append(Violation("slot-tag", message, placement))
+            continue
         if tag == MODULE_TAG:
             module_count += 1
             side, dim = "module", structure.module_dim

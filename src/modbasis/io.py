@@ -35,6 +35,8 @@ is freed by reference counting, so collections during it would only
 rescan live data.  The pause is process-wide: no thread of the process
 runs a cyclic collection until the read ends, and if two reads overlap,
 the one that began with the collector on turns it back on when it ends.
+Pauses nest through ``gc_paused``: a read made while the collector is
+already off, as in a CLI command, leaves it off.
 Error messages echo input values through ``errors.echo``, so a huge
 value shows only its ends.
 """
@@ -148,13 +150,22 @@ def read_document(path):
 
     Cyclic garbage collection is paused for the length of the read, in
     every thread of the process, and afterwards left on or off as it was
-    found; a read that overlaps another may end the other's pause.
+    found, so a read inside a longer pause, such as a CLI command's, keeps
+    the collector off; a read that overlaps another may end the other's
+    pause.
     """
     text = Path(path).read_text(encoding="utf-8")
+    return gc_paused(_decode, text, path)
+
+
+def gc_paused(call, *args):
+    """``call(*args)`` with cyclic garbage collection paused, then the
+    collector left on or off as it was found.  A pause nests: an inner one
+    finds the collector off and leaves it off."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _decode(text, path)
+        return call(*args)
     finally:
         if collecting:
             gc.enable()

@@ -69,13 +69,18 @@ def is_minimal(structure: KModuleStructure) -> bool:
     """True iff every index forward-reaches the entire index set.
 
     That is strong connectivity, tested as forward and backward
-    reachability from index 0 (Tarjan 1972).
+    reachability from index 0 (Tarjan 1972).  With more than one index,
+    an index without an out-edge or an in-edge decides the answer before
+    any search; a valid table's edges stay inside the index set, so the
+    two searches compare sizes only.
     """
-    everything = set(range(structure.module_dim))
-    return not everything or (
-        directed_closure(structure, 0) == everything
-        and everything <= _reach(_index_of(structure).adjacency()[1], 0)
-    )
+    dim = structure.module_dim
+    if dim <= 1:
+        return True
+    outs, ins = _index_of(structure).adjacency()
+    if len(outs) < dim or len(ins) < dim:
+        return False
+    return len(_reach(outs, 0)) == dim and len(_reach(ins, 0)) == dim
 
 
 def check_minimality_equivalence(structure: KModuleStructure) -> MinimalityReport:

@@ -1,15 +1,22 @@
-"""Print how ``read_document`` treats a seeded run of hostile documents.
+"""Print how ``read_document`` and the CLI treat a seeded run of hostile documents.
 
-    PYTHONPATH=src python tests/outcomes.py SEED COUNT > outcomes.txt
+    PYTHONPATH=src python tests/outcomes.py [--cli] SEED COUNT > outcomes.txt
 
 The documents are those of ``test_hostile``: the same sources, drawn and
 mutated the same way, from ``random.Random(SEED)``.  Each line is the
 document number, then either ``ok`` and the sha256 of ``dumps_document``
 of what was read, or the exception's class and message, with the file's
-path written as ``<doc>``.  Run it on two checkouts with the same
-arguments and compare the files: equal output means both read every
-document to the same bytes or fail with the same message.  pytest does
-not collect this file.
+path written as ``<doc>``.  With ``--cli``, each document also gets a
+line per command run through ``cli_main``: the command, its exit code,
+and the sha256 of its stdout and of its stderr (the path again written
+as ``<doc>``).  The commands are ``validate``, and ``decompose --json``
+and ``check --equivalence`` unless the document declares a
+``module_dim`` above ``test_hostile``'s limit of 10^4, past which they
+cost time in proportion to that dimension.  Run it on two checkouts with
+the same arguments and compare the files: equal output means both read
+every document to the same bytes or fail with the same message, and
+print the same bytes with the same exit codes.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -22,7 +29,11 @@ from pathlib import Path
 
 from modbasis import dumps_document, read_document
 
-from test_hostile import _draw, _sources
+from test_hostile import QUERY_DIM, _draw, _run, _sources
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def outcome(path: Path) -> str:
@@ -31,12 +42,30 @@ def outcome(path: Path) -> str:
     except Exception as exc:
         message = str(exc).replace(str(path), "<doc>")
         return f"{type(exc).__name__}: {message}"
-    return f"ok {hashlib.sha256(text.encode()).hexdigest()}"
+    return f"ok {_sha(text)}"
+
+
+def cli_outcomes(path: Path, doc: dict) -> list[str]:
+    """One line per command: the command, its exit code, and the sha256 of
+    its stdout and stderr."""
+    commands = [["validate"]]
+    module_dim = doc.get("module_dim")
+    if not (type(module_dim) is int and module_dim > QUERY_DIM):
+        commands += [["decompose", "--json"], ["check", "--equivalence"]]
+    lines = []
+    for command in commands:
+        code, out, err = _run([command[0], str(path), *command[1:]])
+        digests = [_sha(text.replace(str(path), "<doc>")) for text in (out, err)]
+        lines.append(" ".join([*command, str(code), *digests]))
+    return lines
 
 
 def main(argv) -> int:
+    cli = argv[:1] == ["--cli"]
+    if cli:
+        argv = argv[1:]
     if len(argv) != 2:
-        print("usage: outcomes.py SEED COUNT", file=sys.stderr)
+        print("usage: outcomes.py [--cli] SEED COUNT", file=sys.stderr)
         return 2
     seed, count = int(argv[0]), int(argv[1])
     rng = random.Random(seed)
@@ -44,9 +73,12 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "doc.json"
         for number in range(count):
-            _, text = _draw(rng, sources[number % len(sources)])
+            doc, text = _draw(rng, sources[number % len(sources)])
             path.write_text(text)
             print(number, outcome(path))
+            if cli:
+                for line in cli_outcomes(path, doc):
+                    print(number, line)
     return 0
 
 

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import modbasis
-from modbasis import read_document, write_document
+from modbasis import cli, read_document, write_document
 from modbasis.cli import cli_main
 
 from conftest import make_e1, make_e1_one_way, make_e2, make_e3, make_e4
@@ -391,3 +393,84 @@ def test_usage_errors():
 
 def test_help_exits_zero():
     assert cli_main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{e1}"], 0),
+    (["connect", "{e1}", "--from", "0", "--to", "2"], 1),
+    (["validate", "{missing}"], 2),
+    (["connect", "{e1}", "--from", "0"], 2),
+], ids=["exit-0", "exit-1", "exit-2-error", "exit-2-usage"])
+def test_cli_leaves_the_garbage_collector_as_it_found_it(
+    tmp_path, e1_path, argv, code, collecting
+):
+    argv = [arg.format(e1=e1_path, missing=tmp_path / "missing.json") for arg in argv]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert cli_main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_command_runs_with_the_garbage_collector_paused(e1_path, monkeypatch):
+    seen, original = [], cli.find_connection
+
+    def find_connection(*args):
+        seen.append(gc.isenabled())
+        return original(*args)
+
+    monkeypatch.setattr(cli, "find_connection", find_connection)
+    assert gc.isenabled()
+    assert cli_main(["connect", e1_path, "--from", "0", "--to", "1"]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def _measured(tmp_path, doc: dict, argv, budget=None) -> tuple:
+    """Exit code, wall seconds, and peak RSS in MB once the library is
+    imported and once the command is done, of one CLI command on ``doc``,
+    run in a process of its own."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(Path(modbasis.__file__).parents[1])}
+    if budget is not None:
+        env["MODBASIS_BUDGET"] = str(budget)
+    code = ("import resource, sys\n"
+            "def peak():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "from modbasis.cli import cli_main\n"
+            "imported = peak()\n"
+            "code = cli_main(sys.argv[1:])\n"
+            "print(imported, peak(), file=sys.stderr)\n"
+            "sys.exit(code)")
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", code, argv[0], str(path), *argv[1:]],
+                            capture_output=True, text=True, env=env, timeout=60)
+    seconds = time.perf_counter() - start
+    imported, peak = map(float, result.stderr.split()[-2:])
+    return result.returncode, seconds, imported, peak
+
+
+def _empty_document(n, k, module_dim, space_dim) -> dict:
+    return {"format_version": 1, "kind": "k-module", "n": n, "k": k,
+            "module_dim": module_dim, "space_dim": space_dim, "entries": []}
+
+
+def test_check_minimal_costs_nothing_per_declared_index(tmp_path):
+    # is_minimal built set(range(module_dim)): 1.2 s and 579 MB here.
+    code, seconds, _, peak = _measured(
+        tmp_path, _empty_document(2, 1, 10**7, 1), ["check", "--minimal"])
+    assert code == 1
+    assert seconds < 0.5 and peak < 100
+
+
+def test_paused_oracle_stays_within_its_budget_memory(tmp_path):
+    # No step fits the budget, so the command adds next to nothing to what
+    # the interpreter and the library take (18 MB in all on CPython 3.11);
+    # before the oracle charged a step's arguments it added 40 MB here.
+    code, _, imported, peak = _measured(
+        tmp_path, _empty_document(10**5, 1, 1, 3), ["oracle"], budget=50)
+    assert code == 2
+    assert peak - imported < 10

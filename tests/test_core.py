@@ -350,6 +350,20 @@ def test_validate_reports_entries_in_sorted_order_whatever_the_table_order():
     ]
 
 
+@pytest.mark.parametrize("key, violations", [
+    (5, [("length", "placement 5 is not a tuple of slots")]),
+    ("m" * 100, [("length", "placement 'mmmmmmmmmmmm...mmmmmmmmmmmmm' is not a tuple of slots")]),
+    ((("s",), M(0)), [("slot-tag", "slot ('s',) is not a (tag, index) pair")]),
+    ((("m", 0, 1), S(0)), [("slot-tag", "slot ('m', 0, 1) is not a (tag, index) pair"),
+                           ("slot-count", "placement has 0 module slots, expected 1")]),
+], ids=["int-key", "long-string-key", "short-slot", "long-slot"])
+def test_validate_reports_keys_that_do_not_unpack_into_slots(key, violations):
+    # These raised a bare TypeError or ValueError from validate.
+    report = validate(KModuleStructure(2, 1, 2, 2, {key: (0, 1), (M(1), S(1)): (1, 1)}))
+    assert [(v.code, v.message) for v in report] == violations
+    assert {v.placement for v in report} == {key}
+
+
 def test_freeze_table_stores_target_and_fraction_tuples():
     given = {
         (M(0), S(0)): [1, 2],

@@ -183,12 +183,17 @@ def test_action_classes_embed_in_combined_classes(e4):
     (ModuleOverAlgebra(_E4.algebra, _BAD_ACTION),
      ("action (('m', 0), ('s', 7)): space index 7 outside 0..1",
       "action (('m', 0), ('s', 7)): target 9 outside 0..1")),
+    (ModuleOverAlgebra(_E4.algebra, KModuleStructure(2, 1, 2, 2, {5: (0, 1)})),
+     ("action 5: placement 5 is not a tuple of slots",)),
+    (ModuleOverAlgebra(_E4.algebra, KModuleStructure(2, 1, 2, 2, {(("s",), M(0)): (0, 1)})),
+     ("action (('s',), ('m', 0)): slot ('s',) is not a (tag, index) pair",)),
 ], ids=["algebra-float-index", "algebra-target", "algebra-zero", "algebra-arity",
-        "action-index-and-target"])
+        "action-index-and-target", "action-int-key", "action-short-slot"])
 @pytest.mark.parametrize("build", [build_semidirect, pairing])
 def test_invalid_tables_raise_validation_error(build, pair, violations):
     # Before the judge, the first two and the action raised a bare TypeError
-    # or IndexError, and the other two paired silently.
+    # or IndexError, and the other two paired silently; the last two raised
+    # a bare TypeError or ValueError from validate.
     with pytest.raises(ValidationError) as caught:
         build(pair)
     assert caught.value.violations == violations
