@@ -302,8 +302,9 @@ def cli_main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.func(args)
+    # OverflowError: a declared dimension past the platform's index size.
     except (DocumentError, OSError, BudgetError, DimensionError, ArityMismatch,
-            ValueError) as exc:
+            ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -156,12 +156,20 @@ def _table_edges(table) -> dict[tuple[int, int], tuple]:
 
 class _Index:
     """Parts derived from one structure's table, each built on first use.
-    Threads that race on a part build equal values, so no lock is taken."""
+    Threads that race on a part build equal values, so no lock is taken.
+
+    ``mu`` reads one index's images at a time: the incidence lists hold
+    every placement an index occupies or is the target of, and an
+    index's images in a direction are built from its list the first
+    time they are asked for and kept per index from then on."""
 
     def __init__(self, table, module_dim: int):
         self.table = table
         self.module_dim = module_dim
-        self._edges = self._adjacency = self._steps = self._partition = None
+        self._edges = self._adjacency = self._partition = None
+        # Built together on the first ``mu``, so that a structure that is
+        # never stepped through allocates neither.
+        self._incidence = self._images = None
 
     def edges(self) -> dict[tuple[int, int], tuple]:
         if self._edges is None:
@@ -180,22 +188,51 @@ class _Index:
             self._adjacency = (outs, ins)
         return self._adjacency
 
-    def steps(self) -> tuple[dict, dict]:
-        """Forward and backward ``mu`` images by (index, rest, spaces)."""
-        if self._steps is None:
-            forward: dict = {}
-            backward: dict = {}
+    def incidence(self) -> tuple[dict, dict]:
+        """Placements by module occupant, each distinct occupant once per
+        placement, and placements by target."""
+        if self._incidence is None:
+            by_occupant: dict[int, list[tuple]] = {}
+            by_target: dict[int, list[tuple]] = {}
             for placement, (target, _) in self.table.items():
+                seen = []  # at most k occupants: a list beats a set here
+                for tag, occupant in placement:
+                    if tag == MODULE_TAG and occupant not in seen:
+                        seen.append(occupant)
+                        by_occupant.setdefault(occupant, []).append(placement)
+                by_target.setdefault(target, []).append(placement)
+            # The memo first: a thread that finds the lists finds it too.
+            self._images = {FORWARD: {}, BACKWARD: {}}
+            self._incidence = (by_occupant, by_target)
+        return self._incidence
+
+    def images(self, direction: str, index: int) -> dict[tuple, set[int]]:
+        """The ``mu`` images of ``index`` in ``direction`` by (rest, spaces)."""
+        memo = self._images
+        found = None if memo is None else memo[direction].get(index)
+        if found is not None:
+            return found
+        found = {}
+        by_occupant, by_target = self.incidence()
+        if direction == FORWARD:
+            for placement in by_occupant.get(index, ()):
+                occupants = placement_module_multiset(placement)
+                at = occupants.index(index)
+                rest = occupants[:at] + occupants[at + 1 :]
+                key = (rest, placement_space_multiset(placement))
+                found.setdefault(key, set()).add(self.table[placement][0])
+        else:
+            for placement in by_target.get(index, ()):
                 occupants = placement_module_multiset(placement)
                 spaces = placement_space_multiset(placement)
-                for position, occupant in enumerate(occupants):
-                    if position > 0 and occupants[position - 1] == occupant:
+                for at, occupant in enumerate(occupants):
+                    if at > 0 and occupants[at - 1] == occupant:
                         continue  # each distinct occupant once
-                    rest = occupants[:position] + occupants[position + 1 :]
-                    forward.setdefault((occupant, rest, spaces), set()).add(target)
-                    backward.setdefault((target, rest, spaces), set()).add(occupant)
-            self._steps = (forward, backward)
-        return self._steps
+                    rest = occupants[:at] + occupants[at + 1 :]
+                    found.setdefault((rest, spaces), set()).add(occupant)
+        if found:  # an index outside the table costs no memory
+            self._images[direction][index] = found
+        return found
 
     def partition(self) -> ComponentPartition:
         """Union-find over the symmetrized edges."""
@@ -239,12 +276,14 @@ def mu(structure: KModuleStructure, index: int, step: Step) -> set[int]:
     ``index`` plus the step's module arguments (as a multiset) and whose
     space occupants equal the step's space arguments.  Backward: the
     occupants from which the corresponding forward move reaches
-    ``index``.
+    ``index``.  The first call for an index and direction builds that
+    index's images from the placements it occupies or is the target of;
+    later calls look them up.  The result is a new set, the caller's to
+    change.
     """
     _check_step(structure, step)
-    forward, backward = _index_of(structure).steps()
-    images = forward if step.direction == FORWARD else backward
-    return set(images.get((index, step.module_args, step.space_args), ()))
+    images = _index_of(structure).images(step.direction, index)
+    return set(images.get((step.module_args, step.space_args), ()))
 
 
 def phi(structure: KModuleStructure, indices: Iterable[int], step: Step) -> set[int]:

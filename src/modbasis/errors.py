@@ -10,6 +10,9 @@ import reprlib
 _ECHO = reprlib.Repr()
 _ECHO.maxlong = 41
 
+# SymmetrizeConflict's message names this many edges; ``edges`` keeps all.
+_SHOWN_EDGES = 5
+
 
 def echo(value) -> str:
     """``repr`` of ``value``, shortened when it is long."""
@@ -45,8 +48,13 @@ class SymmetrizeConflict(ModBasisError):
 
     def __init__(self, edges):
         self.edges = tuple(edges)
-        pairs = ", ".join(f"{a}->{b}" for a, b in self.edges)
-        super().__init__(f"cannot add reverse entries for: {pairs}")
+        pairs = ", ".join(f"{echo(a)}->{echo(b)}" for a, b in self.edges[:_SHOWN_EDGES])
+        more = len(self.edges) - _SHOWN_EDGES
+        if more > 0:
+            pairs += f" and {more} more"
+        super().__init__(
+            f"cannot add reverse entries for {len(self.edges)} edge(s): {pairs}"
+        )
 
 
 class ArityMismatch(ModBasisError):

@@ -137,7 +137,7 @@ def symmetrize(structure: KModuleStructure) -> KModuleStructure:
     introduce new one-way edges through the other occupants of the
     rewritten placement, passes repeat until the edge relation is
     symmetric; a pass that adds nothing while edges remain raises
-    SymmetrizeConflict listing them.  The input table is always a subset
+    SymmetrizeConflict carrying them.  The input table is always a subset
     of the output table.
     """
     table = dict(structure.table)

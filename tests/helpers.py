@@ -19,12 +19,15 @@ from modbasis import (
     Step,
     SymmetrizeConflict,
     module_slot,
+    mu,
+    phi,
     placement_module_multiset,
     placement_space_multiset,
     random_structure,
     space_slot,
     support,
 )
+from modbasis.connections import _mu_by_scan
 
 
 def corpus_spec(index: int, salt: int = 0xA5EED) -> GenSpec:
@@ -81,6 +84,30 @@ def support_steps(structure: KModuleStructure, direction: str) -> list[Step]:
             rest = occupants[:position] + occupants[position + 1 :]
             seen.add((rest, spaces))
     return [Step(direction, rest, spaces) for rest, spaces in sorted(seen)]
+
+
+def assert_mu_matches_scan(structure: KModuleStructure, probes) -> None:
+    """``mu`` and ``phi`` agree with the oracle's direct scan of the support.
+
+    ``probes`` pairs each step with the indices to ask about.  A set that
+    ``mu`` returns belongs to the caller: changing it changes no later
+    answer.
+    """
+    entries = [
+        (placement_module_multiset(p), placement_space_multiset(p), target)
+        for p, target, _ in support(structure)
+    ]
+    for step, indices in probes:
+        union = set()
+        for index in indices:
+            expected = _mu_by_scan(entries, index, step)
+            returned = mu(structure, index, step)
+            assert returned == expected, (index, step)
+            returned.clear()
+            returned.add(-1)
+            assert mu(structure, index, step) == expected, (index, step)
+            union |= expected
+        assert phi(structure, indices, step) == union, (indices, step)
 
 
 def chain_table(seed: int, module_dim: int = 300, entries: int = 1200):

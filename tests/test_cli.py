@@ -466,6 +466,24 @@ def test_check_minimal_costs_nothing_per_declared_index(tmp_path):
     assert seconds < 0.5 and peak < 100
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["decompose"], ["connect", "--from", "0", "--to", "1"],
+    ["oracle"], ["check", "--minimal"], ["check", "--mu"], ["check", "--equivalence"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv[:2]))
+def test_a_dimension_past_the_platform_index_size_is_no_traceback(tmp_path, argv):
+    # decompose, check --equivalence and oracle size dense lists by
+    # module_dim, which raised OverflowError through the CLI.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_empty_document(2, 1, 10**50, 1)))
+    env = {**os.environ, "PYTHONPATH": str(Path(modbasis.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "modbasis.cli", argv[0], str(path), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode in (0, 1, 2)
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) <= 1
+
+
 def test_paused_oracle_stays_within_its_budget_memory(tmp_path):
     # No step fits the budget, so the command adds next to nothing to what
     # the interpreter and the library take (18 MB in all on CPython 3.11);

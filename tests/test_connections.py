@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
@@ -17,6 +18,7 @@ from modbasis import (
     ComponentPartition,
     Connection,
     DimensionError,
+    GenSpec,
     InvalidWitness,
     KModuleStructure,
     Step,
@@ -26,13 +28,20 @@ from modbasis import (
     forward_edges,
     mu,
     phi,
+    random_structure,
     reverse_connection,
     verify_connection,
 )
 from modbasis import module_slot as M, space_slot as S
 
 from conftest import make_e1, make_e2, make_e3
-from helpers import chain_table, reference_connection, support_steps
+from helpers import (
+    assert_mu_matches_scan,
+    chain_table,
+    corpus_spec,
+    reference_connection,
+    support_steps,
+)
 
 
 def test_step_normalizes_argument_order():
@@ -86,6 +95,26 @@ def test_phi_unions_over_the_set(e1, e2):
     assert phi(e1, {0, 1}, Step(FORWARD, (), (0,))) == {0, 1}
     assert phi(e2, {0}, Step(FORWARD, (1, 1), ())) == {0}
     assert phi(e1, set(), Step(FORWARD, (), (0,))) == set()
+
+
+def test_mu_matches_the_direct_scan_on_the_acceptance_corpus():
+    for number in range(200):  # the acceptance corpus
+        structure = random_structure(corpus_spec(number))
+        steps = support_steps(structure, FORWARD) + support_steps(structure, BACKWARD)
+        indices = range(structure.module_dim)
+        assert_mu_matches_scan(structure, [(step, indices) for step in steps])
+
+
+def test_mu_matches_the_direct_scan_on_a_large_k2_table():
+    structure = random_structure(GenSpec(7, 3, 2, 60, 3, Fraction(1, 3)))
+    assert len(structure.table) >= 10**4
+    rng = random.Random(7)
+    probes = []
+    for _ in range(40):
+        direction = rng.choice([FORWARD, BACKWARD])
+        step = Step(direction, (rng.randrange(60),), (rng.randrange(3),))
+        probes.append((step, rng.sample(range(60), 6)))
+    assert_mu_matches_scan(structure, probes)
 
 
 def test_forward_edges_fixture_values(e1, e2, e3):

@@ -128,6 +128,24 @@ def test_symmetrize_conflict():
     assert (0, 1) in info.value.edges
 
 
+def test_symmetrize_conflict_names_a_few_edges_and_keeps_them_all():
+    # A 300-cycle: repairing i -> i+1 needs [M(i+1),S0] -> i, a slot that
+    # already targets i+2, so every edge is stuck.
+    size = 300
+    structure = KModuleStructure(
+        2, 1, size, 1, {(M(i), S(0)): ((i + 1) % size, 1) for i in range(size)}
+    )
+    with pytest.raises(SymmetrizeConflict) as info:
+        symmetrize(structure)
+    edges = tuple(sorted((i, (i + 1) % size) for i in range(size)))
+    assert info.value.edges == edges
+    assert _symmetrize_outcome(reference_symmetrize, structure) == edges
+    assert str(info.value) == (
+        "cannot add reverse entries for 300 edge(s): "
+        "0->1, 1->2, 2->3, 3->4, 4->5 and 295 more"
+    )
+
+
 def test_symmetrize_handles_repair_fallout():
     # k = 2: rewriting [M0,M1] -> 2 drags occupant 1 into a new one-way
     # edge, which later passes must repair as well.

@@ -39,7 +39,7 @@ from modbasis import (
     verify_submodule,
     write_document,
 )
-from helpers import support_steps
+from helpers import assert_mu_matches_scan, support_steps
 
 
 @st.composite
@@ -117,6 +117,15 @@ def test_step_flip_biconditional(structure, data):
             assert (j in mu(structure, i, step)) == (
                 i in mu(structure, j, step.flipped())
             )
+
+
+@settings(deadline=None, max_examples=50)
+@given(structure=structures(), data=st.data())
+def test_mu_matches_the_direct_scan(structure, data):
+    steps = support_steps(structure, FORWARD) + support_steps(structure, BACKWARD)
+    steps.append(_arbitrary_step(data, structure))
+    indices = range(structure.module_dim)
+    assert_mu_matches_scan(structure, [(step, indices) for step in steps])
 
 
 @settings(deadline=None, max_examples=50)
