@@ -302,11 +302,12 @@ def cli_main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.func(args)
-    # OverflowError: a declared dimension past the platform's index size.
     except (DocumentError, OSError, BudgetError, DimensionError, ArityMismatch,
-            ValueError, OverflowError) as exc:
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OverflowError:  # from sizing a list or range by a declared dimension
+        print("error: a declared dimension is past this platform's index size", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

@@ -142,38 +142,36 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-def _table_edges(table) -> dict[tuple[int, int], tuple]:
-    """Each (occupant, target) pair of ``table`` and its smallest placement."""
-    edges: dict[tuple[int, int], tuple] = {}
-    for placement, (target, _) in table.items():
-        for tag, occupant in placement:
-            if tag == MODULE_TAG:
-                known = edges.get((occupant, target))
-                if known is None or placement < known:
-                    edges[occupant, target] = placement
-    return edges
-
-
 class _Index:
     """Parts derived from one structure's table, each built on first use.
     Threads that race on a part build equal values, so no lock is taken.
 
-    ``mu`` reads one index's images at a time: the incidence lists hold
-    every placement an index occupies or is the target of, and an
-    index's images in a direction are built from its list the first
-    time they are asked for and kept per index from then on."""
+    The edges are the one relation read from the table: each
+    (occupant, target) pair maps to every placement that realizes it.
+    The adjacency, the partition and ``mu`` all derive from them; ``mu``
+    keeps an index's images in a direction once they are first asked for."""
 
     def __init__(self, table, module_dim: int):
         self.table = table
         self.module_dim = module_dim
-        self._edges = self._adjacency = self._partition = None
-        # Built together on the first ``mu``, so that a structure that is
-        # never stepped through allocates neither.
-        self._incidence = self._images = None
+        self._edges = self._adjacency = self._partition = self._images = None
 
-    def edges(self) -> dict[tuple[int, int], tuple]:
+    def edges(self) -> dict[tuple[int, int], list[tuple]]:
+        """Each (occupant, target) pair and its placements, the smallest first."""
         if self._edges is None:
-            self._edges = _table_edges(self.table)
+            edges: dict[tuple[int, int], list[tuple]] = {}
+            for placement, (target, _) in self.table.items():
+                for tag, occupant in placement:
+                    if tag == MODULE_TAG:
+                        witnesses = edges.get((occupant, target))
+                        if witnesses is None:
+                            edges[occupant, target] = [placement]
+                        # A repeated occupant finds its placement at one end.
+                        elif witnesses[-1] is not placement and witnesses[0] is not placement:
+                            witnesses.append(placement)
+                            if placement < witnesses[0]:
+                                witnesses[0], witnesses[-1] = placement, witnesses[0]
+            self._edges = edges
         return self._edges
 
     def adjacency(self) -> tuple[dict, dict]:
@@ -188,50 +186,25 @@ class _Index:
             self._adjacency = (outs, ins)
         return self._adjacency
 
-    def incidence(self) -> tuple[dict, dict]:
-        """Placements by module occupant, each distinct occupant once per
-        placement, and placements by target."""
-        if self._incidence is None:
-            by_occupant: dict[int, list[tuple]] = {}
-            by_target: dict[int, list[tuple]] = {}
-            for placement, (target, _) in self.table.items():
-                seen = []  # at most k occupants: a list beats a set here
-                for tag, occupant in placement:
-                    if tag == MODULE_TAG and occupant not in seen:
-                        seen.append(occupant)
-                        by_occupant.setdefault(occupant, []).append(placement)
-                by_target.setdefault(target, []).append(placement)
-            # The memo first: a thread that finds the lists finds it too.
-            self._images = {FORWARD: {}, BACKWARD: {}}
-            self._incidence = (by_occupant, by_target)
-        return self._incidence
-
     def images(self, direction: str, index: int) -> dict[tuple, set[int]]:
-        """The ``mu`` images of ``index`` in ``direction`` by (rest, spaces)."""
+        """The ``mu`` images of ``index`` in ``direction`` by (rest, spaces):
+        its successors (forward) or predecessors (backward), by edge placement."""
         memo = self._images
-        found = None if memo is None else memo[direction].get(index)
+        if memo is None:
+            memo = self._images = {FORWARD: {}, BACKWARD: {}}
+        found = memo[direction].get(index)
         if found is not None:
             return found
         found = {}
-        by_occupant, by_target = self.incidence()
-        if direction == FORWARD:
-            for placement in by_occupant.get(index, ()):
-                occupants = placement_module_multiset(placement)
-                at = occupants.index(index)
-                rest = occupants[:at] + occupants[at + 1 :]
-                key = (rest, placement_space_multiset(placement))
-                found.setdefault(key, set()).add(self.table[placement][0])
-        else:
-            for placement in by_target.get(index, ()):
-                occupants = placement_module_multiset(placement)
-                spaces = placement_space_multiset(placement)
-                for at, occupant in enumerate(occupants):
-                    if at > 0 and occupants[at - 1] == occupant:
-                        continue  # each distinct occupant once
-                    rest = occupants[:at] + occupants[at + 1 :]
-                    found.setdefault((rest, spaces), set()).add(occupant)
+        edges = self.edges()
+        outs, ins = self.adjacency()
+        forward = direction == FORWARD
+        for other in (outs if forward else ins).get(index, ()):
+            edge, moved = ((index, other), index) if forward else ((other, index), other)
+            for placement in edges[edge]:
+                found.setdefault(_step_args(placement, moved), set()).add(other)
         if found:  # an index outside the table costs no memory
-            self._images[direction][index] = found
+            memo[direction][index] = found
         return found
 
     def partition(self) -> ComponentPartition:
@@ -239,6 +212,13 @@ class _Index:
         if self._partition is None:
             self._partition = ComponentPartition.from_pairs(self.module_dim, self.edges())
         return self._partition
+
+
+def _step_args(placement, moved: int) -> tuple[tuple, tuple]:
+    # The arguments of the step that ``placement`` realizes from ``moved``.
+    occupants = placement_module_multiset(placement)
+    at = occupants.index(moved)
+    return occupants[:at] + occupants[at + 1 :], placement_space_multiset(placement)
 
 
 def _index_of(structure: KModuleStructure) -> _Index:
@@ -277,21 +257,30 @@ def mu(structure: KModuleStructure, index: int, step: Step) -> set[int]:
     space occupants equal the step's space arguments.  Backward: the
     occupants from which the corresponding forward move reaches
     ``index``.  The first call for an index and direction builds that
-    index's images from the placements it occupies or is the target of;
-    later calls look them up.  The result is a new set, the caller's to
-    change.
+    index's images from the edges that leave or reach it; later calls
+    look them up.  The result is a new set, the caller's to change.
+    Raises DimensionError for an index that is not an int in range.
     """
-    _check_step(structure, step)
-    images = _index_of(structure).images(step.direction, index)
-    return set(images.get((step.module_args, step.space_args), ()))
+    return phi(structure, (index,), step)
 
 
 def phi(structure: KModuleStructure, indices: Iterable[int], step: Step) -> set[int]:
-    """Union of ``mu`` over a set of indices; empty input gives empty output."""
+    """Union of ``mu`` over a set of indices; empty input gives empty
+    output.  The step and every index are checked before any image is
+    read."""
     _check_step(structure, step)
-    result: set[int] = set()
+    indices = list(indices)
     for index in indices:
-        result |= mu(structure, index, step)
+        _check_index(structure, index)
+    return _image(_index_of(structure), indices, step)
+
+
+def _image(index: _Index, indices: Iterable[int], step: Step) -> set[int]:
+    # phi without its checks, for callers that have made them.
+    key = (step.module_args, step.space_args)
+    result: set[int] = set()
+    for node in indices:
+        result.update(index.images(step.direction, node).get(key, ()))
     return result
 
 
@@ -418,13 +407,12 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
 
 
 def _edge_step(edges: dict, here: int, there: int) -> Step:
-    # Forward witnesses win; each edge keeps its smallest placement.
+    # Forward witnesses win; each edge lists its smallest placement first.
     if (here, there) in edges:
-        placement, direction, moved = edges[here, there], FORWARD, here
+        placement, direction, moved = edges[here, there][0], FORWARD, here
     else:
-        placement, direction, moved = edges[there, here], BACKWARD, there
-    rest = _multiset_minus(placement_module_multiset(placement), (moved,))
-    return Step(direction, rest, placement_space_multiset(placement))
+        placement, direction, moved = edges[there, here][0], BACKWARD, there
+    return Step(direction, *_step_args(placement, moved))
 
 
 def find_connection(
@@ -468,12 +456,22 @@ def verify_connection(
     structure: KModuleStructure, connection: Connection, claimed_target: int
 ) -> bool:
     """Replay the chain; true iff every prefix image is nonempty and the
-    final image contains ``claimed_target``."""
-    image = {connection.source}
-    for step in connection.steps:
-        image = phi(structure, image, step)
+    final image contains ``claimed_target``.  Raises DimensionError for a
+    source that is not an index, or for a step of the wrong arity."""
+    steps = connection.steps
+    if not steps:
+        _check_index(structure, connection.source)
+        return claimed_target == connection.source
+    # The first image is mu of the source, which checks both (and is where
+    # bench/spans.py times the index build); each later step is checked
+    # once and replayed without phi's per-index checks.
+    image = mu(structure, connection.source, steps[0])
+    index = _index_of(structure)
+    for step in steps[1:]:
         if not image:
             return False
+        _check_step(structure, step)
+        image = _image(index, image, step)
     return claimed_target in image
 
 

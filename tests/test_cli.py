@@ -482,6 +482,10 @@ def test_a_dimension_past_the_platform_index_size_is_no_traceback(tmp_path, argv
     assert result.returncode in (0, 1, 2)
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) <= 1
+    if result.returncode == 2:
+        # Not "Python int too large to convert to C ssize_t".
+        assert result.stderr.startswith("error:")
+        assert "dimension" in result.stderr
 
 
 def test_paused_oracle_stays_within_its_budget_memory(tmp_path):

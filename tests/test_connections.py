@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, combinations
+from types import CodeType
 
 import pytest
 
@@ -28,10 +29,13 @@ from modbasis import (
     forward_edges,
     mu,
     phi,
+    placement_module_multiset,
     random_structure,
     reverse_connection,
+    support,
     verify_connection,
 )
+from modbasis import connections
 from modbasis import module_slot as M, space_slot as S
 
 from conftest import make_e1, make_e2, make_e3
@@ -224,6 +228,47 @@ def test_oracle_without_module_indices_takes_no_step(monkeypatch):
     assert components_oracle(structure, 1) == ComponentPartition([])
 
 
+def test_each_edge_lists_its_placements_once_smallest_first():
+    # Placements that repeat an occupant, filed in no order, reach an
+    # edge's list twice unless the build skips them.
+    structure = chain_table(1)
+    expected = {}
+    for placement, target, _ in support(structure):
+        for occupant in placement_module_multiset(placement):
+            expected.setdefault((occupant, target), set()).add(placement)
+    edges = connections._index_of(structure).edges()
+    assert {edge: set(placements) for edge, placements in edges.items()} == expected
+    for placements in edges.values():
+        assert len(placements) == len(set(placements))
+        assert placements[0] == min(placements)
+
+
+def _names(code) -> set[str]:
+    # The globals and attributes a function names, nested code included.
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_the_fast_path_and_the_oracle_share_no_code():
+    # The oracle is a check only while neither side calls into the other.
+    fast = (
+        connections._edge_step, connections._step_args, connections._Index.images,
+        connections._image, connections.mu, connections.phi,
+        connections.find_connection, connections.verify_connection,
+    )
+    for function in fast:
+        named = _names(function.__code__)
+        assert not named & {"_multiset_minus", "_mu_by_scan"}, function.__qualname__
+    for function in (connections.components_oracle, connections._mu_by_scan):
+        named = _names(function.__code__)
+        assert not named & {"_index_of", "_Index", "_UnionFind", "_edge_step"}, (
+            function.__qualname__
+        )
+
+
 def test_partition_api(e1):
     partition = components(e1)
     assert partition.size == 3
@@ -272,14 +317,24 @@ def test_find_connection_range_checks(e1):
         find_connection(e1, -1, 0)
 
 
-@pytest.mark.parametrize("bad", [0.5, True, 1.0], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1], ids=repr)
 def test_find_connection_rejects_an_index_that_is_not_an_int(e1, bad):
     # validate's test: in range is not enough, and no chain may start at
-    # True or report 0.5 as "not connected".
+    # True or report 0.5 as "not connected".  mu read True and 1.0 as
+    # index 1, and 10**9 and -1 as an index with no image.
     with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
         find_connection(e1, bad, 1)
     with pytest.raises(DimensionError):
         find_connection(e1, 0, bad)
+    step = Step(FORWARD, (), (0,))
+    with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
+        mu(e1, bad, step)
+    with pytest.raises(DimensionError):
+        phi(e1, [0, bad], step)
+    with pytest.raises(DimensionError):
+        verify_connection(e1, Connection(bad, (step,)), 0)
+    with pytest.raises(DimensionError):
+        verify_connection(e1, Connection(bad, ()), bad)
 
 
 def test_find_connection_multi_step():
@@ -386,19 +441,30 @@ def test_threads_racing_on_a_fresh_structure_agree():
     start = threading.Barrier(workers)
     results = []
 
-    def work():
+    def work(replay_first):
         start.wait(timeout=60)
+        # Half the workers replay precomputed chains first, so that the
+        # first images call, which creates the memo, races with the edges.
+        if replay_first:
+            replays = [
+                verify_connection(structure, c, b)
+                for (_, b), c in zip(pairs, expected[1])
+            ]
         partition = components(structure)
         chains = [find_connection(structure, a, b) for a, b in pairs]
-        replays = [
-            verify_connection(structure, c, b) for (_, b), c in zip(pairs, chains)
-        ]
+        if not replay_first:
+            replays = [
+                verify_connection(structure, c, b) for (_, b), c in zip(pairs, chains)
+            ]
         results.append(((partition, chains), replays))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(workers)]
+        threads = [
+            threading.Thread(target=work, args=(number % 2 == 0,))
+            for number in range(workers)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
