@@ -42,10 +42,10 @@ from .minimality import (
 from .semidirect import ModuleOverAlgebra, pairing
 
 
-def _load_structure(path) -> KModuleStructure:
+def _load(path, wanted=KModuleStructure, name="a k-module"):
     obj = read_document(path)
-    if not isinstance(obj, KModuleStructure):
-        raise DimensionError(f"{path}: expected a k-module document")
+    if not isinstance(obj, wanted):
+        raise DimensionError(f"{path}: expected {name} document")
     return obj
 
 
@@ -60,32 +60,28 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _component_payload(structure: KModuleStructure) -> list[dict]:
-    return [
-        {"representative": piece.representative, "members": list(piece.inherited_basis)}
-        for piece in decompose(structure)
-    ]
-
-
 def _cmd_decompose(args) -> int:
-    structure = _load_structure(args.file)
-    payload = _component_payload(structure)
-    if args.json:
-        print(json.dumps({"components": payload}, indent=2))
-    elif args.dot:
+    structure = _load(args.file)
+    if args.dot:
         text = export_dot(structure, components(structure))
         Path(args.dot).write_text(text, encoding="utf-8")
         print(f"wrote {args.dot}")
+        return 0
+    pieces = decompose(structure)
+    if args.json:
+        payload = [{"representative": piece.representative,
+                    "members": list(piece.inherited_basis)} for piece in pieces]
+        print(json.dumps({"components": payload}, indent=2))
     else:
-        print(f"components: {len(payload)}")
-        for piece in payload:
-            members = " ".join(str(i) for i in piece["members"])
-            print(f"  [{piece['representative']}]: {members}")
+        print(f"components: {len(pieces)}")
+        for piece in pieces:
+            members = " ".join(str(i) for i in piece.inherited_basis)
+            print(f"  [{piece.representative}]: {members}")
     return 0
 
 
 def _cmd_connect(args) -> int:
-    structure = _load_structure(args.file)
+    structure = _load(args.file)
     connection = find_connection(structure, args.source, args.dest)
     if connection is None:
         print("not connected")
@@ -102,7 +98,7 @@ def _cmd_connect(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    structure = _load_structure(args.file)
+    structure = _load(args.file)
     if args.minimal:
         answer = is_minimal(structure)
         print("true" if answer else "false")
@@ -129,12 +125,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_semidirect(args) -> int:
-    algebra = read_document(args.algebra)
-    if not isinstance(algebra, NAryAlgebra):
-        raise DimensionError(f"{args.algebra}: expected an n-ary-algebra document")
-    action = read_document(args.action)
-    if not isinstance(action, KModuleStructure):
-        raise DimensionError(f"{args.action}: expected a k-module document")
+    algebra = _load(args.algebra, NAryAlgebra, "an n-ary-algebra")
+    action = _load(args.action)
     report = pairing(ModuleOverAlgebra(algebra, action))
     by_rep = {piece.representative: piece for piece in report.components}
     # Module vectors are numbered first, so each class's first label is its rep's.
@@ -210,7 +202,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    structure = _load_structure(args.file)
+    structure = _load(args.file)
     depth = args.max_depth
     if depth is None:
         depth = max(1, 2 * structure.module_dim)

@@ -79,30 +79,25 @@ class ComponentPartition:
         grouped: dict[int, list[int]] = {}
         for index, rep in enumerate(reps):
             grouped.setdefault(rep, []).append(index)
-        # Members are grouped in ascending order, so each class's first
-        # member is its minimum, the name it gets.
+        # Grouped in index order, each class starts at its minimum, its name,
+        # and so the classes come sorted; a list, as GC rescans a growing tuple.
         self._rep = tuple(grouped[rep][0] for rep in reps)
-        self._classes = tuple(sorted(tuple(members) for members in grouped.values()))
-
-    @classmethod
-    def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]):
-        forest = _UnionFind(size)
-        for a, b in pairs:
-            forest.union(a, b)
-        return cls(forest.find(i) for i in range(size))
+        self._classes = tuple([tuple(members) for members in grouped.values()])
 
     @property
     def size(self) -> int:
         return len(self._rep)
 
     def representative(self, index: int) -> int:
+        if index < 0:  # the tuple would wrap round; past its end, it raises
+            raise IndexError(f"index {echo(index)} outside 0..{self.size - 1}")
         return self._rep[index]
 
     def same_class(self, first: int, second: int) -> bool:
-        return self._rep[first] == self._rep[second]
+        return self.representative(first) == self.representative(second)
 
     def class_of(self, index: int) -> tuple[int, ...]:
-        rep = self._rep[index]
+        rep = self.representative(index)
         return tuple(i for i, r in enumerate(self._rep) if r == rep)
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -119,6 +114,14 @@ class ComponentPartition:
     def __repr__(self):
         body = ", ".join("{" + ", ".join(map(str, cls)) + "}" for cls in self.classes())
         return f"ComponentPartition({body})"
+
+
+def _check_cover(structure: KModuleStructure, partition: ComponentPartition):
+    if partition.size != structure.module_dim:
+        raise DimensionError(
+            f"partition covers {partition.size} indices, "
+            f"structure has {structure.module_dim}"
+        )
 
 
 class _UnionFind:
@@ -210,7 +213,10 @@ class _Index:
     def partition(self) -> ComponentPartition:
         """Union-find over the symmetrized edges."""
         if self._partition is None:
-            self._partition = ComponentPartition.from_pairs(self.module_dim, self.edges())
+            forest = _UnionFind(self.module_dim)
+            for a, b in self.edges():
+                forest.union(a, b)
+            self._partition = ComponentPartition(map(forest.find, range(self.module_dim)))
         return self._partition
 
 
@@ -457,7 +463,8 @@ def verify_connection(
 ) -> bool:
     """Replay the chain; true iff every prefix image is nonempty and the
     final image contains ``claimed_target``.  Raises DimensionError for a
-    source that is not an index, or for a step of the wrong arity."""
+    source or target that is not an index, or for a step of the wrong arity."""
+    _check_index(structure, claimed_target)
     steps = connection.steps
     if not steps:
         _check_index(structure, connection.source)

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .connections import ComponentPartition, _index_of, components
+from .connections import ComponentPartition, _check_cover, _check_index, _index_of, components
 from .core import (
     MODULE_TAG,
     KModuleStructure,
     placement_module_multiset,
 )
-from .errors import DimensionError, NotASubmodule
+from .errors import NotASubmodule
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,11 @@ def decompose(structure: KModuleStructure) -> list[SubmoduleComponent]:
 
 
 def verify_submodule(structure: KModuleStructure, indices: Iterable[int]) -> bool:
-    """True iff every entry touching the set lands inside the set."""
+    """True iff every entry touching the set lands inside the set.
+    Raises DimensionError for an index that is not an int in range."""
     inside = set(indices)
+    for index in inside:
+        _check_index(structure, index)
     successors = _index_of(structure).adjacency()[0]
     return all(b in inside for a in inside for b in successors.get(a, ()))
 
@@ -57,11 +60,7 @@ def verify_orthogonality(
     structure: KModuleStructure, partition: ComponentPartition
 ) -> bool:
     """True iff no single entry mixes module occupants from two classes."""
-    if partition.size != structure.module_dim:
-        raise DimensionError(
-            f"partition covers {partition.size} indices, "
-            f"structure has {structure.module_dim}"
-        )
+    _check_cover(structure, partition)
     for placement in structure.table:
         occupants = placement_module_multiset(placement)
         classes = {partition.representative(i) for i in occupants}
@@ -73,8 +72,9 @@ def verify_orthogonality(
 def restrict(structure: KModuleStructure, indices: Iterable[int]) -> KModuleStructure:
     """Standalone structure on a closed index set, reindexed from zero.
 
-    The set must pass ``verify_submodule``; members keep their relative
-    order under the reindexing, and space indices are untouched.
+    The set must pass ``verify_submodule``, which checks every index;
+    members keep their relative order under the reindexing, and space
+    indices are untouched.
     """
     members = sorted(set(indices))
     if not verify_submodule(structure, members):

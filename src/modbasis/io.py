@@ -50,7 +50,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
-from .connections import ComponentPartition, forward_edges
+from .connections import ComponentPartition, _check_cover, forward_edges
 from .core import (
     MODULE_TAG,
     SPACE_TAG,
@@ -60,7 +60,7 @@ from .core import (
     support,
     validate,
 )
-from .errors import DimensionError, ParseError, SchemaError, ValidationError, echo
+from .errors import ParseError, SchemaError, ValidationError, echo
 from .semidirect import ModuleOverAlgebra
 
 FORMAT_VERSION = 1
@@ -313,11 +313,7 @@ def export_dot(structure: KModuleStructure, partition: ComponentPartition) -> st
     Nodes are v0..v(dim-1), symmetrized edges keep self-loops, clusters
     are labeled by their class representative.  Output is deterministic.
     """
-    if partition.size != structure.module_dim:
-        raise DimensionError(
-            f"partition covers {partition.size} indices, "
-            f"structure has {structure.module_dim}"
-        )
+    _check_cover(structure, partition)
     undirected = sorted({tuple(sorted(edge)) for edge in forward_edges(structure)})
     lines = ["graph components {"]
     for cls in partition.classes():

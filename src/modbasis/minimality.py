@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .connections import _index_of, components, forward_edges
+from .connections import _check_index, _index_of, components, forward_edges
 from .core import KModuleStructure
 from .errors import TheoremViolation
 
@@ -60,8 +60,9 @@ def directed_closure(structure: KModuleStructure, index: int) -> set[int]:
     """Smallest forward-closed set containing ``index``.
 
     Equivalently the least set through ``index`` that passes
-    ``verify_submodule``.
+    ``verify_submodule``.  Raises DimensionError for a non-index.
     """
+    _check_index(structure, index)
     return _reach(_index_of(structure).adjacency()[0], index)
 
 

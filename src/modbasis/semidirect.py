@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .connections import components
 from .core import (
     MODULE_TAG,
     KModuleStructure,
@@ -176,10 +177,7 @@ def pairing(pair: ModuleOverAlgebra) -> PairingReport:
     """
     combined = build_semidirect(pair)
     comps = decompose_combined(combined)
-    rep_of = {}
-    for comp in comps:
-        for member in comp.members:
-            rep_of[member] = comp.representative
+    rep_of = components(combined.structure).representative
     v_dim = combined.v_dim
     omega_v = tuple(c.representative for c in comps if c.v_part)
     omega_a = tuple(c.representative for c in comps if c.a_part)
@@ -190,8 +188,8 @@ def pairing(pair: ModuleOverAlgebra) -> PairingReport:
     for placement, target, _ in support(pair.action):
         module_occupants = placement_module_multiset(placement)
         space_occupants = placement_space_multiset(placement)
-        v_classes = sorted({rep_of[i] for i in module_occupants})
-        a_classes = sorted({rep_of[v_dim + j] for j in space_occupants})
+        v_classes = sorted({rep_of(i) for i in module_occupants})
+        a_classes = sorted({rep_of(v_dim + j) for j in space_occupants})
         if len(v_classes) != 1:
             violations.append(
                 f"entry {placement}: module occupants span classes {v_classes}"

@@ -9,10 +9,13 @@ of what was read, or the exception's class and message, with the file's
 path written as ``<doc>``.  With ``--cli``, each document also gets a
 line per command run through ``cli_main``: the command, its exit code,
 and the sha256 of its stdout and of its stderr (the path again written
-as ``<doc>``).  The commands are ``validate``, and ``decompose --json``
-and ``check --equivalence`` unless the document declares a
-``module_dim`` above ``test_hostile``'s limit of 10^4, past which they
-cost time in proportion to that dimension.  Run it on two checkouts with
+as ``<doc>``, and the DOT file's as ``<dot>``); ``decompose --dot`` also
+gets the sha256 of the file it wrote, or ``-`` when it wrote none.  The
+commands are ``validate``, and ``decompose --json``,
+``check --equivalence``, ``decompose`` and ``decompose --dot`` unless
+the document declares a ``module_dim`` above ``test_hostile``'s limit
+of 10^4, past which they cost time in proportion to that dimension.
+Run it on two checkouts with
 the same arguments and compare the files: equal output means both read
 every document to the same bytes or fail with the same message, and
 print the same bytes with the same exit codes.  pytest does not collect
@@ -46,16 +49,23 @@ def outcome(path: Path) -> str:
 
 
 def cli_outcomes(path: Path, doc: dict) -> list[str]:
-    """One line per command: the command, its exit code, and the sha256 of
-    its stdout and stderr."""
+    """One line per command: the command, its exit code, the sha256 of its
+    stdout and stderr, and for ``--dot`` that of the file it wrote."""
+    dot = path.with_name("doc.dot")
     commands = [["validate"]]
     module_dim = doc.get("module_dim")
     if not (type(module_dim) is int and module_dim > QUERY_DIM):
-        commands += [["decompose", "--json"], ["check", "--equivalence"]]
+        commands += [["decompose", "--json"], ["check", "--equivalence"],
+                     ["decompose"], ["decompose", "--dot", "<dot>"]]
     lines = []
     for command in commands:
-        code, out, err = _run([command[0], str(path), *command[1:]])
-        digests = [_sha(text.replace(str(path), "<doc>")) for text in (out, err)]
+        dot.unlink(missing_ok=True)
+        argv = [str(dot) if arg == "<dot>" else arg for arg in command]
+        code, out, err = _run([argv[0], str(path), *argv[1:]])
+        digests = [_sha(text.replace(str(dot), "<dot>").replace(str(path), "<doc>"))
+                   for text in (out, err)]
+        if "--dot" in command:
+            digests.append(_sha(dot.read_text()) if dot.exists() else "-")
         lines.append(" ".join([*command, str(code), *digests]))
     return lines
 

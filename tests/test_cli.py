@@ -319,6 +319,26 @@ def test_semidirect_wrong_kind(e4_paths, e1_path):
     assert cli_main(["semidirect", "--algebra", algebra, "--action", e1_path]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["decompose"], ["connect", "--from", "0", "--to", "1"], ["check", "--equivalence"],
+     ["oracle"]],
+    ids=lambda command: command[0],
+)
+def test_structure_commands_name_the_kind_they_expect(e4_paths, capsys, command):
+    algebra, _ = e4_paths
+    assert cli_main([command[0], algebra, *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {algebra}: expected a k-module document\n"
+
+
+def test_semidirect_names_the_kind_it_expects(e4_paths, capsys):
+    algebra, action = e4_paths
+    assert cli_main(["semidirect", "--algebra", action, "--action", algebra]) == 2
+    assert capsys.readouterr().err == f"error: {action}: expected an n-ary-algebra document\n"
+    assert cli_main(["semidirect", "--algebra", algebra, "--action", algebra]) == 2
+    assert capsys.readouterr().err == f"error: {algebra}: expected a k-module document\n"
+
+
 def test_generate_writes_readable_document(tmp_path, capsys):
     out = tmp_path / "random.json"
     argv = [

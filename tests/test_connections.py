@@ -278,6 +278,14 @@ def test_partition_api(e1):
     assert not partition.same_class(0, 2)
     assert partition.class_of(1) == (0, 1)
     assert ComponentPartition([0, 0, 2]) == partition
+    # A negative index raised nothing: the tuple wrapped round to index 2.
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            partition.representative(bad)
+        with pytest.raises(IndexError):
+            partition.same_class(bad, 2)
+        with pytest.raises(IndexError):
+            partition.class_of(bad)
 
 
 def test_find_connection_forward_witness(e1):
@@ -335,6 +343,12 @@ def test_find_connection_rejects_an_index_that_is_not_an_int(e1, bad):
         verify_connection(e1, Connection(bad, (step,)), 0)
     with pytest.raises(DimensionError):
         verify_connection(e1, Connection(bad, ()), bad)
+    # The claimed target too: True and 1.0 verified as index 1.
+    chain = find_connection(e1, 0, 1)
+    with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
+        verify_connection(e1, chain, bad)
+    with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
+        reverse_connection(e1, chain, bad)
 
 
 def test_find_connection_multi_step():

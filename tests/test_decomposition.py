@@ -68,7 +68,7 @@ def test_verify_orthogonality_rejects_mixed_entries():
 
 
 def test_verify_orthogonality_needs_full_cover(e1):
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^partition covers 2 indices, structure has 3$"):
         verify_orthogonality(e1, ComponentPartition([0, 0]))
 
 
@@ -95,6 +95,17 @@ def test_restrict_to_everything_is_identity(e1):
 def test_restrict_rejects_open_sets(e1):
     with pytest.raises(NotASubmodule):
         restrict(e1, {0})
+
+
+@pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1], ids=repr)
+def test_submodule_checks_reject_an_index_that_is_not_an_int(e1, bad):
+    # restrict built a 1-index structure for an index e1 does not have.
+    with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
+        verify_submodule(e1, {bad})
+    with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
+        restrict(e1, {bad})
+    with pytest.raises(DimensionError):
+        restrict(e1, [2, bad])
 
 
 def test_restricted_class_stays_whole(e1, e2):

@@ -12,6 +12,8 @@ import pytest
 
 import modbasis.io
 from modbasis import (
+    ComponentPartition,
+    DimensionError,
     GenSpec,
     KModuleStructure,
     ModuleOverAlgebra,
@@ -433,6 +435,11 @@ def test_export_dot_single_cluster(e2):
     assert "v0 -- v0;" in text
     assert "v0 -- v1;" in text
     assert "v1 -- v1;" in text
+
+
+def test_export_dot_needs_full_cover(e1):
+    with pytest.raises(DimensionError, match="^partition covers 2 indices, structure has 3$"):
+        export_dot(e1, ComponentPartition([0, 0]))
 
 
 @pytest.mark.parametrize("value", [-(10**40 - 1), 10**41, -(10**50)])

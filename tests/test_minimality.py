@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from modbasis import (
+    DimensionError,
     KModuleStructure,
     SymmetrizeConflict,
     TheoremViolation,
@@ -45,6 +46,13 @@ def test_directed_closure_values(e1, e1_one_way):
     # Without the returning entry, 1 reaches nothing new.
     assert directed_closure(e1_one_way, 0) == {0, 1}
     assert directed_closure(e1_one_way, 1) == {1}
+
+
+@pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1], ids=repr)
+def test_directed_closure_rejects_an_index_that_is_not_an_int(e1, bad):
+    # It answered {bad} for 10**9 and -1, and {0, True} for True.
+    with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
+        directed_closure(e1, bad)
 
 
 def test_directed_closure_is_least_closed_superset(e1):
