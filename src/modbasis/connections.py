@@ -89,7 +89,7 @@ class ComponentPartition:
         return len(self._rep)
 
     def representative(self, index: int) -> int:
-        if index < 0:  # the tuple would wrap round; past its end, it raises
+        if type(index) is not int or not 0 <= index < len(self._rep):  # as _check_index
             raise IndexError(f"index {echo(index)} outside 0..{self.size - 1}")
         return self._rep[index]
 
@@ -122,27 +122,6 @@ def _check_cover(structure: KModuleStructure, partition: ComponentPartition):
             f"partition covers {partition.size} indices, "
             f"structure has {structure.module_dim}"
         )
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]  # path halving
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:  # smaller tree under larger
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 class _Index:
@@ -211,12 +190,23 @@ class _Index:
         return found
 
     def partition(self) -> ComponentPartition:
-        """Union-find over the symmetrized edges."""
+        """Union-find over the symmetrized edges, each root hung under the
+        smaller: a parent is smaller than its child and a root is its class's
+        minimum, so one pass in index order resolves each index to that minimum."""
         if self._partition is None:
-            forest = _UnionFind(self.module_dim)
+            parent = list(range(self.module_dim))
             for a, b in self.edges():
-                forest.union(a, b)
-            self._partition = ComponentPartition(map(forest.find, range(self.module_dim)))
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]  # path halving; parent[a] set first
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+            for index in range(self.module_dim):
+                parent[index] = parent[parent[index]]
+            self._partition = ComponentPartition(parent)
         return self._partition
 
 

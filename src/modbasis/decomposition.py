@@ -76,15 +76,14 @@ def restrict(structure: KModuleStructure, indices: Iterable[int]) -> KModuleStru
     members keep their relative order under the reindexing, and space
     indices are untouched.
     """
-    members = sorted(set(indices))
-    if not verify_submodule(structure, members):
-        raise NotASubmodule(f"{members} is not closed under the table")
-    renumber = {old: new for new, old in enumerate(members)}
-    kept = set(renumber)
+    inside = set(indices)
+    if not verify_submodule(structure, inside):  # checked before it is sorted
+        raise NotASubmodule(f"{sorted(inside)} is not closed under the table")
+    renumber = {old: new for new, old in enumerate(sorted(inside))}
     table = {}
     for placement, (target, coeff) in structure.table.items():
         occupants = placement_module_multiset(placement)
-        if not kept.issuperset(occupants):
+        if not inside.issuperset(occupants):
             continue
         new_placement = tuple(
             (MODULE_TAG, renumber[index]) if tag == MODULE_TAG else (tag, index)
@@ -92,5 +91,5 @@ def restrict(structure: KModuleStructure, indices: Iterable[int]) -> KModuleStru
         )
         table[new_placement] = (renumber[target], coeff)
     return KModuleStructure(
-        structure.n, structure.k, len(members), structure.space_dim, table
+        structure.n, structure.k, len(inside), structure.space_dim, table
     )

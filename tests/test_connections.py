@@ -258,15 +258,18 @@ def test_the_fast_path_and_the_oracle_share_no_code():
         connections._edge_step, connections._step_args, connections._Index.images,
         connections._image, connections.mu, connections.phi,
         connections.find_connection, connections.verify_connection,
+        connections._Index.partition, connections._Index.edges,
     )
     for function in fast:
         named = _names(function.__code__)
         assert not named & {"_multiset_minus", "_mu_by_scan"}, function.__qualname__
+    fast_only = {"_index_of", "_Index", "_edge_step"}
+    # A name the module no longer defines could never be called, so the
+    # check would pass whatever the oracle did.
+    assert all(hasattr(connections, name) for name in fast_only)
     for function in (connections.components_oracle, connections._mu_by_scan):
         named = _names(function.__code__)
-        assert not named & {"_index_of", "_Index", "_UnionFind", "_edge_step"}, (
-            function.__qualname__
-        )
+        assert not named & fast_only, function.__qualname__
 
 
 def test_partition_api(e1):
@@ -279,13 +282,47 @@ def test_partition_api(e1):
     assert partition.class_of(1) == (0, 1)
     assert ComponentPartition([0, 0, 2]) == partition
     # A negative index raised nothing: the tuple wrapped round to index 2.
-    for bad in (-1, 3):
+    # True was read as index 1, and 0.5 raised a bare TypeError.
+    for bad in (-1, 3, True, 0.5, 1.0):
         with pytest.raises(IndexError):
             partition.representative(bad)
         with pytest.raises(IndexError):
             partition.same_class(bad, 2)
         with pytest.raises(IndexError):
             partition.class_of(bad)
+
+
+def _path_orders(last: int) -> dict[str, list[int]]:
+    # The edge i -- i+1 for each i in 0..last-1, in four insertion orders.
+    ascending = list(range(last))
+    inward = [i for pair in zip(ascending, reversed(ascending)) for i in pair]
+    shuffled = ascending[:]
+    random.Random(7).shuffle(shuffled)
+    return {
+        "ascending": ascending,
+        "descending": ascending[::-1],
+        "inward": inward[:last],
+        "shuffled": shuffled,
+    }
+
+
+@pytest.mark.parametrize("cut", [None, 5000], ids=["whole", "cut"])
+@pytest.mark.parametrize("order", ["ascending", "descending", "inward", "shuffled"])
+def test_partition_of_a_long_path_in_every_edge_order(order, cut):
+    # Descending insertion hangs each root under the next index down, a
+    # tree 10^4 deep that only the final pass over the parents resolves.
+    size = 10**4
+    edges = [i for i in _path_orders(size - 1)[order] if i != cut]
+    table = {(M(i), S(0)): (i + 1, Fraction(1)) for i in edges}
+    structure = KModuleStructure(2, 1, size, 1, table)
+    assert next(iter(forward_edges(structure))) == (edges[0], edges[0] + 1)
+    partition = components(structure)
+    if cut is None:
+        assert partition.classes() == (tuple(range(size)),)
+    else:
+        assert partition.classes() == (tuple(range(cut + 1)), tuple(range(cut + 1, size)))
+    for cls in partition.classes():
+        assert all(partition.representative(i) == cls[0] for i in cls)
 
 
 def test_find_connection_forward_witness(e1):

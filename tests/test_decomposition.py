@@ -97,7 +97,7 @@ def test_restrict_rejects_open_sets(e1):
         restrict(e1, {0})
 
 
-@pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1, "a", None], ids=repr)
 def test_submodule_checks_reject_an_index_that_is_not_an_int(e1, bad):
     # restrict built a 1-index structure for an index e1 does not have.
     with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
