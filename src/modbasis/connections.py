@@ -131,7 +131,8 @@ class _Index:
     The edges are the one relation read from the table: each
     (occupant, target) pair maps to every placement that realizes it.
     The adjacency, the partition and ``mu`` all derive from them; ``mu``
-    keeps an index's images in a direction once they are first asked for."""
+    keeps an index's images in a direction once they are first asked for.
+    ``symmetrize`` reads them from a fresh index on each of its passes."""
 
     def __init__(self, table, module_dim: int):
         self.table = table
@@ -235,6 +236,18 @@ def _check_step(structure: KModuleStructure, step: Step):
             f"step carries {len(step.space_args)} space arguments, "
             f"expected {structure.n - structure.k}"
         )
+    # Each argument by _check_index's rule, on its own side; one loop per
+    # side, as this runs for every step a chain replays.
+    for arg in step.module_args:
+        if type(arg) is not int or not 0 <= arg < structure.module_dim:
+            _bad_argument("module", arg, structure.module_dim)
+    for arg in step.space_args:
+        if type(arg) is not int or not 0 <= arg < structure.space_dim:
+            _bad_argument("space", arg, structure.space_dim)
+
+
+def _bad_argument(side: str, arg, dim: int):
+    raise DimensionError(f"{side} argument {echo(arg)} outside 0..{echo(dim - 1)}")
 
 
 def _check_index(structure: KModuleStructure, index: int):
@@ -453,7 +466,8 @@ def verify_connection(
 ) -> bool:
     """Replay the chain; true iff every prefix image is nonempty and the
     final image contains ``claimed_target``.  Raises DimensionError for a
-    source or target that is not an index, or for a step of the wrong arity."""
+    source or target that is not an index, or for a step of the wrong arity
+    or with an argument that is not an index of its side."""
     _check_index(structure, claimed_target)
     steps = connection.steps
     if not steps:

@@ -169,9 +169,20 @@ def placement_space_multiset(placement) -> tuple[int, ...]:
 
 
 def validate(structure: KModuleStructure) -> list[Violation]:
-    """Check every structural invariant; an empty report means valid."""
+    """Check every structural invariant; an empty report means valid.
+
+    A header field that is not an ``int`` is reported under its code
+    (``arity``, ``k-range``, ``dims``), and then nothing else is checked:
+    every other rule compares against the header."""
     report = []
     n, k = structure.n, structure.k
+    for code, name, value in (("arity", "arity", n), ("k-range", "k", k),
+                              ("dims", "module dimension", structure.module_dim),
+                              ("dims", "space dimension", structure.space_dim)):
+        if type(value) is not int:
+            report.append(Violation(code, f"{name} must be an int, got {echo(value)}"))
+    if report:
+        return report
     if n < 1:
         report.append(Violation("arity", f"arity must be at least 1, got {echo(n)}"))
     if not 1 <= k <= n:
@@ -329,7 +340,10 @@ def from_sigma_entries(
 def evaluate(structure: KModuleStructure, placement):
     """Lookup of one placement: (target, coeff) or None when it is zero.
     Raises DimensionError for a placement that ``validate`` would flag."""
-    key = tuple((tag, index) for tag, index in placement)
+    try:
+        key = tuple((tag, index) for tag, index in placement)
+    except (TypeError, ValueError):  # no sequence of pairs: judged as given
+        key = placement
     problems = _placement_violations(structure, key, [])
     if problems:
         raise DimensionError(problems[0].message)

@@ -16,7 +16,7 @@ from .core import (
     KModuleStructure,
     placement_module_multiset,
 )
-from .errors import NotASubmodule
+from .errors import NotASubmodule, echo
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def restrict(structure: KModuleStructure, indices: Iterable[int]) -> KModuleStru
     """
     inside = set(indices)
     if not verify_submodule(structure, inside):  # checked before it is sorted
-        raise NotASubmodule(f"{sorted(inside)} is not closed under the table")
+        raise NotASubmodule(f"{echo(sorted(inside))} is not closed under the table")
     renumber = {old: new for new, old in enumerate(sorted(inside))}
     table = {}
     for placement, (target, coeff) in structure.table.items():

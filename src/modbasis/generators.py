@@ -8,12 +8,12 @@ zero table.  All generation is deterministic in the seed.
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator
 
+from .connections import _Index
 from .core import (
     MODULE_TAG,
     SPACE_TAG,
@@ -119,13 +119,6 @@ def random_structure(spec: GenSpec) -> KModuleStructure:
     return KModuleStructure(*shape, table)
 
 
-def _add_witness(witnesses: dict, placement, target: int):
-    """File ``placement`` under each of its (module occupant, target) edges,
-    every list kept in ascending placement order."""
-    for occupant in {index for tag, index in placement if tag == MODULE_TAG}:
-        insort(witnesses.setdefault((occupant, target), []), placement)
-
-
 def symmetrize(structure: KModuleStructure) -> KModuleStructure:
     """Complete the table so that every edge has a reverse edge.
 
@@ -142,39 +135,30 @@ def symmetrize(structure: KModuleStructure) -> KModuleStructure:
     """
     table = dict(structure.table)
     while True:
-        witnesses: dict[tuple[int, int], list] = {}
-        for placement in sorted(table):
-            _add_witness(witnesses, placement, table[placement][0])
-        missing = sorted((a, b) for (a, b) in witnesses if (b, a) not in witnesses)
+        # A fresh index that no structure caches: the pass extends its lists.
+        edges = _Index(table, structure.module_dim).edges()
+        missing = sorted((a, b) for (a, b) in edges if (b, a) not in edges)
         if not missing:
             break
-        progress = False
+        size = len(table)
         stuck = []
         for here, there in missing:
-            if (there, here) in witnesses:
+            if (there, here) in edges:
                 continue  # repaired earlier in this pass
-            repaired = False
-            for witness in witnesses[here, there]:
-                for position, (tag, index) in enumerate(witness):
-                    if tag != MODULE_TAG or index != here:
-                        continue
-                    candidate = (
-                        witness[:position]
-                        + ((MODULE_TAG, there),)
-                        + witness[position + 1 :]
-                    )
-                    if candidate in table:
-                        continue
-                    table[candidate] = (here, Fraction(1))
-                    _add_witness(witnesses, candidate, here)
-                    repaired = True
-                    progress = True
-                    break
-                if repaired:
-                    break
-            if not repaired:
+            candidates = (
+                witness[:position] + ((MODULE_TAG, there),) + witness[position + 1 :]
+                for witness in sorted(edges[here, there])
+                for position, slot in enumerate(witness)
+                if slot == (MODULE_TAG, here)
+            )
+            candidate = next((c for c in candidates if c not in table), None)
+            if candidate is None:
                 stuck.append((here, there))
-        if not progress:
+                continue
+            table[candidate] = (here, Fraction(1))
+            for occupant in {index for tag, index in candidate if tag == MODULE_TAG}:
+                edges.setdefault((occupant, here), []).append(candidate)
+        if len(table) == size:
             raise SymmetrizeConflict(stuck)
     return KModuleStructure(
         structure.n, structure.k, structure.module_dim, structure.space_dim, table

@@ -362,7 +362,7 @@ def test_find_connection_range_checks(e1):
         find_connection(e1, -1, 0)
 
 
-@pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1, False, 0.0], ids=repr)
 def test_find_connection_rejects_an_index_that_is_not_an_int(e1, bad):
     # validate's test: in range is not enough, and no chain may start at
     # True or report 0.5 as "not connected".  mu read True and 1.0 as
@@ -386,6 +386,16 @@ def test_find_connection_rejects_an_index_that_is_not_an_int(e1, bad):
         verify_connection(e1, chain, bad)
     with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..2$"):
         reverse_connection(e1, chain, bad)
+    # A step argument too: mu read False and 0.0 as space index 0, and
+    # 10**9 as one with no image.
+    bad_step = Step(FORWARD, (), (bad,))
+    with pytest.raises(DimensionError, match=f"^space argument {bad!r} outside 0..0$"):
+        mu(e1, 0, bad_step)
+    with pytest.raises(DimensionError):
+        verify_connection(e1, Connection(0, (step, bad_step)), 0)
+    pair = KModuleStructure(2, 2, 3, 0, {(M(0), M(1)): (2, 1)})
+    with pytest.raises(DimensionError, match=f"^module argument {bad!r} outside 0..2$"):
+        phi(pair, [0], Step(BACKWARD, (bad,), ()))
 
 
 def test_find_connection_multi_step():
@@ -394,7 +404,7 @@ def test_find_connection_multi_step():
         2,
         1,
         3,
-        1,
+        2,
         {
             (M(0), S(0)): (1, 1),
             (M(1), S(0)): (0, 1),

@@ -82,6 +82,20 @@ def test_validate_flags_bad_shape_parameters():
     assert "k-range" in _codes(validate(KModuleStructure(2, 0, 1, 1, {})))
 
 
+@pytest.mark.parametrize("header, code, message", [
+    ((2, 1, 3.5, 1), "dims", "module dimension must be an int, got 3.5"),
+    ((2, 1, 3, "1"), "dims", "space dimension must be an int, got '1'"),
+    ((2, True, 3, 1), "k-range", "k must be an int, got True"),
+    ((2.0, 1, 3, 1), "arity", "arity must be an int, got 2.0"),
+    (("2", 1, 3, 1), "arity", "arity must be an int, got '2'"),
+], ids=repr)
+def test_validate_flags_a_header_field_that_is_not_an_int(header, code, message):
+    # A module dimension of 3.5 let target 3 pass, and then components
+    # raised TypeError; n = "2" made validate itself raise it.
+    structure = KModuleStructure(*header, {(M(0), S(0)): (3, 1)})
+    assert [(v.code, v.message) for v in validate(structure)] == [(code, message)]
+
+
 @pytest.mark.parametrize("bad", [2.7, True, "3"], ids=repr)
 def test_validate_flags_indices_and_targets_that_are_not_ints(bad):
     # Each value lies in range once truncated by int(); the table keeps it
@@ -264,6 +278,10 @@ def test_evaluate_rejects_malformed_placements(e1):
         evaluate(e1, (M(9), S(0)))
     with pytest.raises(DimensionError):
         evaluate(e1, (("x", 0), S(0)))
+    with pytest.raises(DimensionError, match=r"^slot \('m',\) is not"):
+        evaluate(e1, (("m",), S(0)))
+    with pytest.raises(DimensionError, match="^placement 5 is not"):
+        evaluate(e1, 5)
 
 
 def test_evaluate_rejects_an_index_that_is_not_an_int(e1):

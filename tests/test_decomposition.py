@@ -93,8 +93,24 @@ def test_restrict_to_everything_is_identity(e1):
 
 
 def test_restrict_rejects_open_sets(e1):
-    with pytest.raises(NotASubmodule):
+    with pytest.raises(NotASubmodule, match=r"^\[0\] is not closed under the table$"):
         restrict(e1, {0})
+
+
+def test_restrict_echoes_a_bounded_part_of_a_large_open_set():
+    # A path 0 -> 1 -> ... -> 999: every set short of its end is open.
+    size = 1000
+    path = KModuleStructure(
+        2, 1, size, 1, {(M(i), S(0)): (i + 1, 1) for i in range(size - 1)}
+    )
+    with pytest.raises(NotASubmodule) as info:
+        restrict(path, {4, 2, 9, 7, 5, 3})
+    assert str(info.value) == "[2, 3, 4, 5, 7, 9] is not closed under the table"
+    with pytest.raises(NotASubmodule) as info:
+        restrict(path, range(10, size - 10))
+    message = str(info.value)
+    assert message == "[10, 11, 12, 13, 14, 15, ...] is not closed under the table"
+    assert len(message.encode()) < 300  # test_hostile's bound on one line
 
 
 @pytest.mark.parametrize("bad", [0.5, True, 1.0, 10**9, -1, "a", None], ids=repr)

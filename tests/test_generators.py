@@ -25,7 +25,7 @@ from modbasis import (
 from modbasis import module_slot as M, space_slot as S
 
 from conftest import make_e1, make_e1_one_way, make_e2
-from helpers import corpus_spec, reference_symmetrize
+from helpers import corpus_spec, one_way_table, reference_symmetrize
 
 
 def test_random_structure_is_deterministic():
@@ -187,11 +187,14 @@ def test_symmetrize_matches_rescanning_reference():
         for density in (2, 5, 10)
     ]
     specs += [GenSpec(seed, 2, 1, 40, 3, Fraction(1, 20)) for seed in range(6)]
+    # Repairs over two passes (191 -> 570 entries for seed 5).
+    specs += [GenSpec(seed, 3, 2, 200, 3, Fraction(1, 2000)) for seed in range(5, 8)]
+    structures = [random_structure(spec) for spec in specs]
+    structures.append(one_way_table(3, 500, back_edges=True))  # 685 stuck edges
     conflicts = repaired = 0
-    for spec in specs:
-        structure = random_structure(spec)
+    for number, structure in enumerate(structures):
         expected = _symmetrize_outcome(reference_symmetrize, structure)
-        assert _symmetrize_outcome(symmetrize, structure) == expected, spec
+        assert _symmetrize_outcome(symmetrize, structure) == expected, number
         if isinstance(expected, tuple):
             conflicts += 1
         elif len(expected) > len(structure.table):

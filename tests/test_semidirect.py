@@ -8,6 +8,7 @@ import pytest
 
 from modbasis import (
     ArityMismatch,
+    DimensionError,
     KModuleStructure,
     ModuleOverAlgebra,
     NAryAlgebra,
@@ -106,6 +107,10 @@ def test_verify_ideal(e4):
     leaky = NAryAlgebra(2, 2, {(0, 1): (1, 1)})
     assert not verify_ideal(leaky, {0})
     assert verify_ideal(leaky, {1})
+    # No index outside 0..dim-1 passes, nor True read as 1.
+    for bad in (10**9, "x", True, -1, 0.5):
+        with pytest.raises(DimensionError, match=f"^index {bad!r} outside 0..1$"):
+            verify_ideal(e4.algebra, {bad})
 
 
 def test_algebra_parts_are_ideals(e4):
