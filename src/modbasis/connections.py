@@ -11,14 +11,17 @@ and exists purely as the slow cross-check for the fast path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Optional
 
 from .core import (
     MODULE_TAG,
     KModuleStructure,
+    _check_header,
     enumeration_budget,
     placement_module_multiset,
     placement_space_multiset,
@@ -97,8 +100,9 @@ class ComponentPartition:
         return self.representative(first) == self.representative(second)
 
     def class_of(self, index: int) -> tuple[int, ...]:
+        # The classes are sorted by their first member, the representative.
         rep = self.representative(index)
-        return tuple(i for i, r in enumerate(self._rep) if r == rep)
+        return self._classes[bisect_left(self._classes, rep, key=itemgetter(0))]
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         return self._classes
@@ -219,10 +223,16 @@ def _step_args(placement, moved: int) -> tuple[tuple, tuple]:
 
 
 def _index_of(structure: KModuleStructure) -> _Index:
+    """The structure's index, made on first use after a header check; a
+    query takes it before comparing anything with the header, so a header
+    field that is not an ``int`` raises DimensionError, checked once per
+    structure."""
     cache = structure.__dict__
-    return cache.get("_index") or cache.setdefault(
-        "_index", _Index(structure.table, structure.module_dim)
-    )
+    index = cache.get("_index")
+    if index is None:
+        _check_header(structure)
+        index = cache.setdefault("_index", _Index(structure.table, structure.module_dim))
+    return index
 
 
 def _check_step(structure: KModuleStructure, step: Step):
@@ -268,7 +278,8 @@ def mu(structure: KModuleStructure, index: int, step: Step) -> set[int]:
     ``index``.  The first call for an index and direction builds that
     index's images from the edges that leave or reach it; later calls
     look them up.  The result is a new set, the caller's to change.
-    Raises DimensionError for an index that is not an int in range.
+    Raises DimensionError for an index that is not an int in range, or for
+    a header field that is not an ``int``.
     """
     return phi(structure, (index,), step)
 
@@ -277,11 +288,12 @@ def phi(structure: KModuleStructure, indices: Iterable[int], step: Step) -> set[
     """Union of ``mu`` over a set of indices; empty input gives empty
     output.  The step and every index are checked before any image is
     read."""
+    structure_index = _index_of(structure)
     _check_step(structure, step)
     indices = list(indices)
     for index in indices:
         _check_index(structure, index)
-    return _image(_index_of(structure), indices, step)
+    return _image(structure_index, indices, step)
 
 
 def _image(index: _Index, indices: Iterable[int], step: Step) -> set[int]:
@@ -433,11 +445,11 @@ def find_connection(
     neighbor order, so results are deterministic.  An equal source and
     target yield the empty chain.  Returns None when not connected.
     """
+    index = _index_of(structure)
     _check_index(structure, source)
     _check_index(structure, target)
     if source == target:
         return Connection(source, ())
-    index = _index_of(structure)
     outs, ins = index.adjacency()
     parent: dict[int, Optional[int]] = {source: None}
     queue = deque([source])
@@ -467,7 +479,9 @@ def verify_connection(
     """Replay the chain; true iff every prefix image is nonempty and the
     final image contains ``claimed_target``.  Raises DimensionError for a
     source or target that is not an index, or for a step of the wrong arity
-    or with an argument that is not an index of its side."""
+    or with an argument that is not an index of its side, and for a header
+    field that is not an ``int``."""
+    index = _index_of(structure)
     _check_index(structure, claimed_target)
     steps = connection.steps
     if not steps:
@@ -477,7 +491,6 @@ def verify_connection(
     # bench/spans.py times the index build); each later step is checked
     # once and replayed without phi's per-index checks.
     image = mu(structure, connection.source, steps[0])
-    index = _index_of(structure)
     for step in steps[1:]:
         if not image:
             return False

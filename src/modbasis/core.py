@@ -61,10 +61,14 @@ def placement_space_size(n: int, k: int, module_dim: int, space_dim: int) -> int
 
 def _freeze_table(self) -> None:
     """``__post_init__`` of both table classes: a read-only copy of the table,
-    keys and targets as given, each coefficient a ``Fraction`` (kept when it
-    is one, converted otherwise)."""
-    table = {key: (target, coeff if type(coeff) is Fraction else Fraction(coeff))
-             for key, (target, coeff) in self.table.items()}
+    keys and targets as given.  A value that is a ``(target, Fraction)``
+    tuple is kept as it is; any other is unpacked into a new one, its
+    coefficient converted unless it is a ``Fraction``."""
+    table = dict(self.table)
+    for key, value in table.items():
+        if type(value) is not tuple or len(value) != 2 or type(value[1]) is not Fraction:
+            target, coeff = value
+            table[key] = (target, coeff if type(coeff) is Fraction else Fraction(coeff))
     object.__setattr__(self, "table", MappingProxyType(table))
 
 
@@ -77,12 +81,13 @@ class KModuleStructure:
     index, coefficient); the constructor copies it into a read-only
     mapping, so instances are immutable, hash by value, and are safe to
     share between threads.  Parts derived from the table are built once
-    per structure, on first use.  The constructor keeps a coefficient
-    that is a ``Fraction`` (``read_document`` parses each one and hands
-    it over) and converts any other value with ``Fraction()``; it
-    enforces no invariant.  ``validate`` checks keys
-    and targets, index types included, and reports every violation
-    explicitly so that malformed data can be inspected.
+    per structure, on first use.  The constructor keeps a value that is
+    already a ``(target, Fraction)`` tuple, as ``read_document`` builds
+    them, and unpacks any other pair, converting its coefficient with
+    ``Fraction()`` unless it is one; it enforces no invariant.
+    ``validate`` checks keys and targets, index types included, and
+    reports every violation explicitly so that malformed data can be
+    inspected.
     """
 
     n: int
@@ -109,7 +114,7 @@ class NAryAlgebra:
     Keys are ordered index tuples of length n; values are (target index,
     coefficient) pairs, absent keys multiply to zero, and the table is read-only.
     Like ``KModuleStructure``, the constructor touches only coefficients:
-    it keeps ``Fraction`` values and converts others.
+    it keeps ``(target, Fraction)`` tuples and converts other pairs.
     """
 
     n: int
@@ -174,15 +179,10 @@ def validate(structure: KModuleStructure) -> list[Violation]:
     A header field that is not an ``int`` is reported under its code
     (``arity``, ``k-range``, ``dims``), and then nothing else is checked:
     every other rule compares against the header."""
-    report = []
-    n, k = structure.n, structure.k
-    for code, name, value in (("arity", "arity", n), ("k-range", "k", k),
-                              ("dims", "module dimension", structure.module_dim),
-                              ("dims", "space dimension", structure.space_dim)):
-        if type(value) is not int:
-            report.append(Violation(code, f"{name} must be an int, got {echo(value)}"))
+    report = _header_violations(structure)
     if report:
         return report
+    n, k = structure.n, structure.k
     if n < 1:
         report.append(Violation("arity", f"arity must be at least 1, got {echo(n)}"))
     if not 1 <= k <= n:
@@ -199,6 +199,31 @@ def validate(structure: KModuleStructure) -> list[Violation]:
         )
     report.extend(_entry_violations(structure))
     return report
+
+
+def _header_violations(structure: KModuleStructure) -> list[Violation]:
+    """A violation for each header field that is not an ``int``."""
+    return [
+        Violation(code, f"{name} must be an int, got {echo(value)}")
+        for code, name, value in (
+            ("arity", "arity", structure.n),
+            ("k-range", "k", structure.k),
+            ("dims", "module dimension", structure.module_dim),
+            ("dims", "space dimension", structure.space_dim),
+        )
+        if type(value) is not int
+    ]
+
+
+def _check_header(structure: KModuleStructure) -> None:
+    """Raise DimensionError, naming the field, for the first header field
+    that is not an ``int``: a query compares indices against the header.
+    A header of four ``int``s passes on one chained test, as a small
+    structure's first query pays for it."""
+    if (type(structure.n) is type(structure.k) is type(structure.module_dim)
+            is type(structure.space_dim) is int):
+        return
+    raise DimensionError(_header_violations(structure)[0].message)
 
 
 def _entry_violations(structure: KModuleStructure) -> list[Violation]:
@@ -339,7 +364,9 @@ def from_sigma_entries(
 
 def evaluate(structure: KModuleStructure, placement):
     """Lookup of one placement: (target, coeff) or None when it is zero.
-    Raises DimensionError for a placement that ``validate`` would flag."""
+    Raises DimensionError for a placement that ``validate`` would flag, and
+    for a header field that is not an ``int``."""
+    _check_header(structure)
     try:
         key = tuple((tag, index) for tag, index in placement)
     except (TypeError, ValueError):  # no sequence of pairs: judged as given

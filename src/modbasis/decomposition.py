@@ -48,11 +48,13 @@ def decompose(structure: KModuleStructure) -> list[SubmoduleComponent]:
 
 def verify_submodule(structure: KModuleStructure, indices: Iterable[int]) -> bool:
     """True iff every entry touching the set lands inside the set.
-    Raises DimensionError for an index that is not an int in range."""
+    Raises DimensionError for an index that is not an int in range, or for
+    a header field that is not an ``int``."""
+    structure_index = _index_of(structure)
     inside = set(indices)
     for index in inside:
         _check_index(structure, index)
-    successors = _index_of(structure).adjacency()[0]
+    successors = structure_index.adjacency()[0]
     return all(b in inside for a in inside for b in successors.get(a, ()))
 
 

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil
 from typing import Iterator
 
 from .connections import _Index
@@ -96,6 +97,15 @@ def _all_placements(
                 yield tuple(slots)
 
 
+def _float_cutoff(density: Fraction) -> float:
+    """The float ``c`` with ``x < c`` exactly when ``x < density``, for every
+    ``x`` that ``random.random()`` returns.  Those are the multiples of
+    2**-53 in [0, 1), and ``k / 2**53 < d`` holds exactly when
+    ``k < ceil(d * 2**53)``, an integer of at most 53 bits, so the quotient
+    is exact and one float comparison replaces a ``Fraction`` one."""
+    return ceil(density * 2**53) / 2**53
+
+
 def random_structure(spec: GenSpec) -> KModuleStructure:
     """Independently include each placement with the requested density.
 
@@ -110,9 +120,10 @@ def random_structure(spec: GenSpec) -> KModuleStructure:
     if _space_exceeds(*shape, budget):
         raise BudgetError(f"placement space has more than {budget} candidates")
     rng = random.Random(spec.seed)
+    cutoff = _float_cutoff(spec.density)
     table = {}
     for placement in _all_placements(*shape):
-        if rng.random() < spec.density:
+        if rng.random() < cutoff:
             target = rng.randrange(spec.module_dim)
             coeff = rng.choice(COEFFICIENT_POOL)
             table[placement] = (target, coeff)

@@ -21,11 +21,13 @@ The reader checks the JSON shape of each entry and files it into its
 table, keys and targets as written, and ``core`` judges the entries:
 each algebra entry as it is filed, by ``algebra_entry_violation`` (the
 reader adds only the duplicate check), the action once it is filed, by
-``validate``.  Each coefficient is parsed once, from the groups of the
-``_COEFF`` match, into a ``Fraction``, which the table constructors
-keep as it is.  Every read parses the text once.  Each raw entry is
-released once it is decoded, so the JSON tree shrinks while the table
-grows and the read never holds two copies of the document.  A message
+``validate``.  Each distinct coefficient text is parsed once per read,
+from the groups of the ``_COEFF`` match, into a ``Fraction`` that every
+entry with that text shares; the table constructors keep the reader's
+``(target, Fraction)`` pairs as they are.  Every read parses the text
+once.  Each raw entry is released once it is decoded, so the JSON tree
+shrinks while the table grows and the read never holds two copies of
+the document.  A message
 that names an entry position takes it from filing order: the action
 keeps its placements in order of first occurrence, so the first entry of
 each is found by skipping the duplicates and algebra entries.  Cyclic
@@ -82,27 +84,38 @@ def _int_field(doc: dict, name: str) -> int:
     return value
 
 
-def _coeff(raw, position: int) -> Fraction:
-    """The checked coefficient as a ``Fraction``; a "p/q" string is parsed
-    once, by the ``_COEFF`` match, whose groups give the two integers."""
-    if type(raw) is int:
-        return Fraction(raw)
-    if type(raw) is not str:
+def _coeff(raw, position: int, memo: dict) -> Fraction:
+    """The checked coefficient as a ``Fraction``, each distinct text parsed
+    once per read, by the ``_COEFF`` match: ``memo``, the read's own, maps
+    each ``int`` or "p/q" string already read to its ``Fraction``, which
+    the entries that repeat it share.  It is looked up only after the exact
+    type test, as ``True`` and ``1.0`` equal ``1``."""
+    kind = type(raw)
+    if kind is not int and kind is not str:
         raise SchemaError(
             f"entry {position}: coefficient must be an integer or 'p/q' string"
         )
-    match = _COEFF.fullmatch(raw)
-    if match is None:
-        raise SchemaError(
-            f"entry {position}: bad coefficient {echo(raw)}: expected an "
-            "integer or 'p/q', q nonzero, at most 4300 digits each"
-        )
-    numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator or 1))
+    coeff = memo.get(raw)
+    if coeff is not None:
+        return coeff
+    if kind is int:
+        coeff = Fraction(raw)
+    else:
+        match = _COEFF.fullmatch(raw)
+        if match is None:
+            raise SchemaError(
+                f"entry {position}: bad coefficient {echo(raw)}: expected an "
+                "integer or 'p/q', q nonzero, at most 4300 digits each"
+            )
+        numerator, denominator = match.groups()
+        coeff = Fraction(int(numerator), int(denominator or 1))
+    memo[raw] = coeff
+    return coeff
 
 
-def _entry(raw, position: int) -> tuple[tuple, int, Fraction]:
-    """(placement, target, coeff) of one raw entry, its JSON shape checked.
+def _entry(raw, position: int, memo: dict) -> tuple[tuple, int, Fraction]:
+    """(placement, target, coeff) of one raw entry, its JSON shape checked;
+    ``memo`` is the read's coefficient memo (see ``_coeff``).
     ``json.loads`` builds exact ``dict`` and ``list`` objects, so their
     types are tested with ``is``."""
     if type(raw) is not dict:
@@ -124,7 +137,7 @@ def _entry(raw, position: int) -> tuple[tuple, int, Fraction]:
     target = raw.get("target")
     if type(target) is not int:
         raise SchemaError(f"entry {position}: 'target' must be an integer")
-    return tuple(placement), target, _coeff(raw.get("coeff"), position)
+    return tuple(placement), target, _coeff(raw.get("coeff"), position, memo)
 
 
 def _slot_problem(slot) -> str:
@@ -197,9 +210,9 @@ def _decode(text: str, path):
         raise SchemaError("field 'entries' must be a list")
 
     algebra, action = {}, {}
-    algebra_problems, duplicates, unfiled = [], [], set()
+    algebra_problems, duplicates, unfiled, memo = [], [], set(), {}
     for position, raw in enumerate(raw_entries):
-        placement, target, coeff = _entry(raw, position)
+        placement, target, coeff = _entry(raw, position, memo)
         raw_entries[position] = None  # frees the entry's JSON objects
         if kind == "k-module" or (
             kind == "module-over-algebra"

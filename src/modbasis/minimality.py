@@ -60,10 +60,12 @@ def directed_closure(structure: KModuleStructure, index: int) -> set[int]:
     """Smallest forward-closed set containing ``index``.
 
     Equivalently the least set through ``index`` that passes
-    ``verify_submodule``.  Raises DimensionError for a non-index.
+    ``verify_submodule``.  Raises DimensionError for a non-index or a
+    header field that is not an ``int``.
     """
+    structure_index = _index_of(structure)
     _check_index(structure, index)
-    return _reach(_index_of(structure).adjacency()[0], index)
+    return _reach(structure_index.adjacency()[0], index)
 
 
 def is_minimal(structure: KModuleStructure) -> bool:

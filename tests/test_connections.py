@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -25,15 +26,19 @@ from modbasis import (
     Step,
     components,
     components_oracle,
+    directed_closure,
+    evaluate,
     find_connection,
     forward_edges,
     mu,
     phi,
     placement_module_multiset,
     random_structure,
+    restrict,
     reverse_connection,
     support,
     verify_connection,
+    verify_submodule,
 )
 from modbasis import connections
 from modbasis import module_slot as M, space_slot as S
@@ -292,6 +297,17 @@ def test_partition_api(e1):
             partition.class_of(bad)
 
 
+def test_class_of_matches_a_scan_of_the_representatives():
+    rng = random.Random(22)
+    for size in (1, 2, 7, 60, 400):
+        for labels in range(1, size + 1, max(1, size // 6)):
+            partition = ComponentPartition([rng.randrange(labels) for _ in range(size)])
+            reps = [partition.representative(i) for i in range(size)]
+            for index in range(size):
+                scan = tuple(i for i, rep in enumerate(reps) if rep == reps[index])
+                assert partition.class_of(index) == scan
+
+
 def _path_orders(last: int) -> dict[str, list[int]]:
     # The edge i -- i+1 for each i in 0..last-1, in four insertion orders.
     ascending = list(range(last))
@@ -396,6 +412,35 @@ def test_find_connection_rejects_an_index_that_is_not_an_int(e1, bad):
     pair = KModuleStructure(2, 2, 3, 0, {(M(0), M(1)): (2, 1)})
     with pytest.raises(DimensionError, match=f"^module argument {bad!r} outside 0..2$"):
         phi(pair, [0], Step(BACKWARD, (bad,), ()))
+
+
+@pytest.mark.parametrize("header, message", [
+    ((2, 1, "3", 1), "module dimension must be an int, got '3'"),
+    ((2, 1, 3, None), "space dimension must be an int, got None"),
+    (("2", 1, 3, 1), "arity must be an int, got '2'"),
+    ((2, True, 3, 1), "k must be an int, got True"),
+    ((2, 1, 3.0, 1), "module dimension must be an int, got 3.0"),
+], ids=["module_dim", "space_dim", "n", "k", "float"])
+def test_queries_reject_a_header_field_that_is_not_an_int(header, message):
+    # A str field raised a bare TypeError from a comparison; a float or a
+    # bool one compared as a number.
+    structure = KModuleStructure(*header, {})
+    step = Step(FORWARD, (), (0,))
+    queries = [
+        lambda: evaluate(structure, (M(0), S(0))),
+        lambda: mu(structure, 0, step),
+        lambda: phi(structure, [0], step),
+        lambda: find_connection(structure, 0, 1),
+        lambda: find_connection(structure, 0, 0),
+        lambda: verify_connection(structure, Connection(0, (step,)), 0),
+        lambda: verify_connection(structure, Connection(0, ()), 0),
+        lambda: directed_closure(structure, 0),
+        lambda: verify_submodule(structure, [0]),
+        lambda: restrict(structure, [0]),
+    ]
+    for query in queries:
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            query()
 
 
 def test_find_connection_multi_step():

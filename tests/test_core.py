@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -396,6 +397,24 @@ def test_freeze_table_stores_target_and_fraction_tuples():
     assert [table[key] for key in given] == [
         (1, Fraction(2)), (0, Fraction(1, 2)), (2, Fraction(-4)),
         (1, Fraction(2, 3)), (0, Fraction(5))]
+
+
+def test_freeze_table_keeps_target_and_fraction_tuples_as_given():
+    kept = (1, Fraction(2, 3))
+    Pair = namedtuple("Pair", "target coeff")
+    given = {
+        (M(0), S(0)): kept,
+        (M(1), S(0)): [0, Fraction(1, 2)],
+        (M(2), S(0)): (2, "-4"),
+        (M(0), S(1)): (1, 5),
+        (M(1), S(1)): Pair(0, Fraction(3)),
+    }
+    table = KModuleStructure(2, 1, 3, 2, given).table
+    assert table[(M(0), S(0))] is kept
+    assert {key: type(value) for key, value in table.items()} == dict.fromkeys(given, tuple)
+    assert [table[key] for key in given] == [
+        kept, (0, Fraction(1, 2)), (2, Fraction(-4)), (1, Fraction(5)), (0, Fraction(3))]
+    assert NAryAlgebra(1, 2, {(0,): kept}).table[(0,)] is kept
 
 
 @pytest.mark.parametrize("value, error, message", [

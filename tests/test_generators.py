@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+
+from modbasis import generators
 
 from modbasis import (
     BudgetError,
@@ -13,6 +17,7 @@ from modbasis import (
     SymmetrizeConflict,
     components,
     components_oracle,
+    dumps_document,
     is_minimal,
     is_mu_multiplicative,
     modular_family,
@@ -44,6 +49,34 @@ def test_random_structure_density_extremes():
     )
     assert set(full.table) == {(M(0), S(0)), (S(0), M(0))}
     assert all(target == 0 for target, _ in full.table.values())
+
+
+@pytest.mark.parametrize("density", [
+    Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2000), Fraction(1, 2**60),
+], ids=str)
+def test_float_cutoff_agrees_with_the_fraction_comparison(density):
+    # random() returns multiples of 2**-53; the cutoff must split them
+    # exactly where density does, at the boundary multiples too.
+    cutoff = generators._float_cutoff(density)
+    rng = random.Random(22)
+    draws = [rng.random() for _ in range(20_000)]
+    edge = int(density * 2**53)
+    draws += [k / 2**53 for k in range(edge - 2, edge + 3) if 0 <= k < 2**53]
+    assert [x < cutoff for x in draws] == [x < density for x in draws]
+
+
+@pytest.mark.parametrize("spec, entries, digest", [
+    (GenSpec(3, 2, 1, 6, 2, Fraction(1, 3)), 6,
+     "3ccb7b68d92a9cadffd77e0bfed42d00529d11925d42774df40565cc5fad7215"),
+    (GenSpec(4, 3, 2, 30, 2, Fraction(1, 50)), 102,
+     "4caefdc1a197ff61279828bb94a7fe9e4cbdc85f8d90cf83b035b445b619a74b"),
+], ids=["dense", "sparse"])
+def test_random_structure_documents_are_pinned(spec, entries, digest):
+    # Digests of the documents written when each draw was compared with
+    # the density as a Fraction: the float cutoff draws the same tables.
+    structure = random_structure(spec)
+    assert len(structure.table) == entries
+    assert hashlib.sha256(dumps_document(structure).encode()).hexdigest() == digest
 
 
 def test_random_structure_output_is_valid():

@@ -356,6 +356,48 @@ def test_repeated_coefficients_read_as_equal_fractions(tmp_path):
     assert all(type(c) is Fraction for c in read)
 
 
+def test_a_repeated_bad_coefficient_is_named_at_its_first_position(tmp_path):
+    path = _write_doc(
+        tmp_path,
+        lambda d: d.update(module_dim=4, entries=[
+            {"slots": [{"m": i}, {"s": 0}], "target": 0, "coeff": c}
+            for i, c in enumerate(["1/2", "1/0", "1/2", "1/0"])
+        ]),
+    )
+    with pytest.raises(SchemaError, match="^entry 1: bad coefficient '1/0'"):
+        read_document(path)
+
+
+def test_equal_coefficient_texts_share_one_fraction(tmp_path):
+    coeffs = ["5/3", 300, "10/6", 300, "5/3", -7, "-7", -7]
+    path = _write_doc(
+        tmp_path,
+        lambda d: d.update(module_dim=len(coeffs), entries=[
+            {"slots": [{"m": i}, {"s": 0}], "target": 0, "coeff": c}
+            for i, c in enumerate(coeffs)
+        ]),
+    )
+    loaded = read_document(path)
+    read = [loaded.table[(M(i), S(0))][1] for i in range(len(coeffs))]
+    assert read == [Fraction(c) for c in coeffs]
+    assert read[0] is read[4] and read[1] is read[3] and read[5] is read[7]
+    # Equal values of distinct texts are equal, not necessarily shared.
+    assert read[2] == read[0] and read[6] == read[5]
+
+
+def test_equal_coefficients_of_distinct_texts_write_in_lowest_terms(tmp_path):
+    path = _write_doc(
+        tmp_path,
+        lambda d: d.update(entries=[
+            {"slots": [{"m": 0}, {"s": 0}], "target": 0, "coeff": "1/2"},
+            {"slots": [{"m": 1}, {"s": 0}], "target": 0, "coeff": "2/4"},
+        ]),
+    )
+    loaded = read_document(path)
+    assert loaded.table[(M(0), S(0))] == loaded.table[(M(1), S(0))] == (0, Fraction(1, 2))
+    assert dumps_document(loaded).count('"coeff": "1/2"') == 2
+
+
 def test_mixed_document_messages_name_each_entry_by_position(tmp_path):
     # Algebra entries come first, so an action entry's position is not
     # its index among the action entries.
