@@ -22,6 +22,7 @@ from .core import (
     MODULE_TAG,
     KModuleStructure,
     _check_header,
+    _check_index,
     enumeration_budget,
     placement_module_multiset,
     placement_space_multiset,
@@ -92,8 +93,7 @@ class ComponentPartition:
         return len(self._rep)
 
     def representative(self, index: int) -> int:
-        if type(index) is not int or not 0 <= index < len(self._rep):  # as _check_index
-            raise IndexError(f"index {echo(index)} outside 0..{self.size - 1}")
+        _check_index(index, len(self._rep), error=IndexError)
         return self._rep[index]
 
     def same_class(self, first: int, second: int) -> bool:
@@ -133,10 +133,12 @@ class _Index:
     Threads that race on a part build equal values, so no lock is taken.
 
     The edges are the one relation read from the table: each
-    (occupant, target) pair maps to every placement that realizes it.
-    The adjacency, the partition and ``mu`` all derive from them; ``mu``
-    keeps an index's images in a direction once they are first asked for.
-    ``symmetrize`` reads them from a fresh index on each of its passes."""
+    (occupant, target) pair maps to every placement that realizes it, in
+    table order.  The adjacency, the partition and ``mu`` all derive from
+    them and ignore that order; ``mu`` keeps an index's images in a
+    direction once they are first asked for.  ``_edge_step`` takes an
+    edge's smallest placement as its witness, and ``symmetrize``, which
+    reads the edges from a fresh index on each of its passes, sorts them."""
 
     def __init__(self, table, module_dim: int):
         self.table = table
@@ -144,7 +146,8 @@ class _Index:
         self._edges = self._adjacency = self._partition = self._images = None
 
     def edges(self) -> dict[tuple[int, int], list[tuple]]:
-        """Each (occupant, target) pair and its placements, the smallest first."""
+        """Each (occupant, target) pair and its placements, each once, in
+        table order."""
         if self._edges is None:
             edges: dict[tuple[int, int], list[tuple]] = {}
             for placement, (target, _) in self.table.items():
@@ -153,11 +156,9 @@ class _Index:
                         witnesses = edges.get((occupant, target))
                         if witnesses is None:
                             edges[occupant, target] = [placement]
-                        # A repeated occupant finds its placement at one end.
-                        elif witnesses[-1] is not placement and witnesses[0] is not placement:
+                        # A repeated occupant finds its placement last.
+                        elif witnesses[-1] is not placement:
                             witnesses.append(placement)
-                            if placement < witnesses[0]:
-                                witnesses[0], witnesses[-1] = placement, witnesses[0]
             self._edges = edges
         return self._edges
 
@@ -246,26 +247,10 @@ def _check_step(structure: KModuleStructure, step: Step):
             f"step carries {len(step.space_args)} space arguments, "
             f"expected {structure.n - structure.k}"
         )
-    # Each argument by _check_index's rule, on its own side; one loop per
-    # side, as this runs for every step a chain replays.
     for arg in step.module_args:
-        if type(arg) is not int or not 0 <= arg < structure.module_dim:
-            _bad_argument("module", arg, structure.module_dim)
+        _check_index(arg, structure.module_dim, "module argument")
     for arg in step.space_args:
-        if type(arg) is not int or not 0 <= arg < structure.space_dim:
-            _bad_argument("space", arg, structure.space_dim)
-
-
-def _bad_argument(side: str, arg, dim: int):
-    raise DimensionError(f"{side} argument {echo(arg)} outside 0..{echo(dim - 1)}")
-
-
-def _check_index(structure: KModuleStructure, index: int):
-    # validate's test: a bool or a float is no index, even where it
-    # compares in range.
-    if type(index) is not int or not 0 <= index < structure.module_dim:
-        dim = echo(structure.module_dim - 1)
-        raise DimensionError(f"index {echo(index)} outside 0..{dim}")
+        _check_index(arg, structure.space_dim, "space argument")
 
 
 def mu(structure: KModuleStructure, index: int, step: Step) -> set[int]:
@@ -292,7 +277,7 @@ def phi(structure: KModuleStructure, indices: Iterable[int], step: Step) -> set[
     _check_step(structure, step)
     indices = list(indices)
     for index in indices:
-        _check_index(structure, index)
+        _check_index(index, structure.module_dim)
     return _image(structure_index, indices, step)
 
 
@@ -428,11 +413,13 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
 
 
 def _edge_step(edges: dict, here: int, there: int) -> Step:
-    # Forward witnesses win; each edge lists its smallest placement first.
+    """The step of the hop ``here`` -> ``there`` that a witness chain names:
+    forward when that edge exists, else backward, realized by the edge's
+    smallest placement."""
     if (here, there) in edges:
-        placement, direction, moved = edges[here, there][0], FORWARD, here
+        placement, direction, moved = min(edges[here, there]), FORWARD, here
     else:
-        placement, direction, moved = edges[there, here][0], BACKWARD, there
+        placement, direction, moved = min(edges[there, here]), BACKWARD, there
     return Step(direction, *_step_args(placement, moved))
 
 
@@ -446,8 +433,8 @@ def find_connection(
     target yield the empty chain.  Returns None when not connected.
     """
     index = _index_of(structure)
-    _check_index(structure, source)
-    _check_index(structure, target)
+    _check_index(source, structure.module_dim)
+    _check_index(target, structure.module_dim)
     if source == target:
         return Connection(source, ())
     outs, ins = index.adjacency()
@@ -482,10 +469,10 @@ def verify_connection(
     or with an argument that is not an index of its side, and for a header
     field that is not an ``int``."""
     index = _index_of(structure)
-    _check_index(structure, claimed_target)
+    _check_index(claimed_target, structure.module_dim)
     steps = connection.steps
     if not steps:
-        _check_index(structure, connection.source)
+        _check_index(connection.source, structure.module_dim)
         return claimed_target == connection.source
     # The first image is mu of the source, which checks both (and is where
     # bench/spans.py times the index build); each later step is checked

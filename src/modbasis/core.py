@@ -226,6 +226,15 @@ def _check_header(structure: KModuleStructure) -> None:
     raise DimensionError(_header_violations(structure)[0].message)
 
 
+def _check_index(value, dim: int, name: str = "index", error=DimensionError) -> None:
+    """Raise ``error``, naming ``value`` as ``name``, unless it is an index
+    in 0..dim-1 by ``validate``'s rule: an ``int``, so a bool or a float is
+    no index even where it compares in range.  Every query checks the
+    indices and step arguments it is given with it."""
+    if type(value) is not int or not 0 <= value < dim:
+        raise error(f"{name} {echo(value)} outside 0..{echo(dim - 1)}")
+
+
 def _entry_violations(structure: KModuleStructure) -> list[Violation]:
     """Every breach of the entries.  One pass in table order; only a report
     that is not empty is then sorted."""

@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .connections import ComponentPartition, _check_cover, _check_index, _index_of, components
+from .connections import ComponentPartition, _check_cover, _index_of, components
 from .core import (
     MODULE_TAG,
     KModuleStructure,
+    _check_index,
     placement_module_multiset,
 )
-from .errors import NotASubmodule, echo
+from .errors import NotASubmodule
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ def verify_submodule(structure: KModuleStructure, indices: Iterable[int]) -> boo
     structure_index = _index_of(structure)
     inside = set(indices)
     for index in inside:
-        _check_index(structure, index)
+        _check_index(index, structure.module_dim)
     successors = structure_index.adjacency()[0]
     return all(b in inside for a in inside for b in successors.get(a, ()))
 
@@ -80,7 +81,7 @@ def restrict(structure: KModuleStructure, indices: Iterable[int]) -> KModuleStru
     """
     inside = set(indices)
     if not verify_submodule(structure, inside):  # checked before it is sorted
-        raise NotASubmodule(f"{echo(sorted(inside))} is not closed under the table")
+        raise NotASubmodule(inside)
     renumber = {old: new for new, old in enumerate(sorted(inside))}
     table = {}
     for placement, (target, coeff) in structure.table.items():

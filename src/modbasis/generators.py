@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil
+from operator import itemgetter
 from typing import Iterator
 
 from .connections import _Index
@@ -82,19 +83,18 @@ def _all_placements(
 ) -> Iterator[tuple]:
     if module_dim == 0 < k or space_dim == 0 < n - k:
         return  # a slot on an empty side: no placement at all
+    module_slots = [(MODULE_TAG, i) for i in range(module_dim)]
+    space_slots = [(SPACE_TAG, j) for j in range(space_dim)]
     for module_positions in combinations(range(n), k):
+        # A row is a module fill then a space fill, in the order of the
+        # nested fills; ``order`` names the row item each position takes.
         chosen = set(module_positions)
-        for module_fill in product(range(module_dim), repeat=k):
-            for space_fill in product(range(space_dim), repeat=n - k):
-                slots = []
-                module_iter = iter(module_fill)
-                space_iter = iter(space_fill)
-                for position in range(n):
-                    if position in chosen:
-                        slots.append((MODULE_TAG, next(module_iter)))
-                    else:
-                        slots.append((SPACE_TAG, next(space_iter)))
-                yield tuple(slots)
+        module_items, space_items = iter(range(k)), iter(range(k, n))
+        order = [next(module_items) if p in chosen else next(space_items) for p in range(n)]
+        # itemgetter of one index returns the bare item, and a 1-tuple row
+        # is already the placement.
+        arrange = itemgetter(*order) if n > 1 else tuple
+        yield from map(arrange, product(*[module_slots] * k, *[space_slots] * (n - k)))
 
 
 def _float_cutoff(density: Fraction) -> float:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .connections import _check_index, _index_of, components, forward_edges
-from .core import KModuleStructure
+from .connections import _index_of, components, forward_edges
+from .core import KModuleStructure, _check_index
 from .errors import TheoremViolation
 
 
@@ -64,7 +64,7 @@ def directed_closure(structure: KModuleStructure, index: int) -> set[int]:
     header field that is not an ``int``.
     """
     structure_index = _index_of(structure)
-    _check_index(structure, index)
+    _check_index(index, structure.module_dim)
     return _reach(structure_index.adjacency()[0], index)
 
 

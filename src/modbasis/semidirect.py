@@ -17,6 +17,7 @@ from .core import (
     MODULE_TAG,
     KModuleStructure,
     NAryAlgebra,
+    _check_index,
     placement_module_multiset,
     placement_space_multiset,
     support,
@@ -24,7 +25,7 @@ from .core import (
     validate_algebra,
 )
 from .decomposition import decompose
-from .errors import ArityMismatch, DimensionError, ValidationError, echo
+from .errors import ArityMismatch, ValidationError, echo
 
 
 @dataclass(frozen=True)
@@ -160,10 +161,8 @@ def verify_ideal(algebra: NAryAlgebra, indices: Iterable[int]) -> bool:
     """True iff every algebra product touching the set lands inside it.
     Raises DimensionError for an index that is not an int in range."""
     inside = set(indices)
-    dim = algebra.dim
     for index in inside:
-        if type(index) is not int or not 0 <= index < dim:  # as _check_index
-            raise DimensionError(f"index {echo(index)} outside 0..{echo(dim - 1)}")
+        _check_index(index, algebra.dim)
     for key, (target, _) in algebra.table.items():
         if inside.intersection(key) and target not in inside:
             return False

@@ -129,6 +129,51 @@ def chain_table(seed: int, module_dim: int = 300, entries: int = 1200):
     return KModuleStructure(3, 2, module_dim, 2, table)
 
 
+def partition_problems(structure: KModuleStructure, partition) -> list[str]:
+    """Why ``partition`` is not the component partition of ``structure``;
+    empty when it is.  A check in time linear in the table that shares no
+    code with ``connections``: one scan maps each (module occupants, space
+    occupants) multiset pair to the targets of its entries, and every step
+    is read from that map.
+
+    A partition passes when every entry's occupants and target lie in one
+    class, and a search by single steps from each class's minimum reaches
+    exactly that class.  From an occupant of a pair, a forward step reaches
+    each of the pair's targets; from a target, a backward step reaches each
+    of its occupants.  So once a search meets a pair, all of the pair's
+    indices are reached, and each pair is expanded once.
+    """
+    if partition.size != structure.module_dim:
+        return [f"partition covers {partition.size} of {structure.module_dim} indices"]
+    products: dict[tuple, set[int]] = {}
+    for placement, (target, _) in structure.table.items():
+        occupants = tuple(sorted(index for tag, index in placement if tag == "m"))
+        spaces = tuple(sorted(index for tag, index in placement if tag == "s"))
+        products.setdefault((occupants, spaces), set()).add(target)
+    problems = []
+    meeting: dict[int, list[tuple]] = {}
+    for pair, targets in products.items():
+        indices = {*pair[0], *targets}
+        if len({partition.representative(index) for index in indices}) > 1:
+            problems.append(f"{pair} joins classes")
+        for index in indices:
+            meeting.setdefault(index, []).append(pair)
+    expanded = set()
+    for members in partition.classes():
+        reached, stack = {members[0]}, [members[0]]
+        while stack:
+            for pair in meeting.get(stack.pop(), ()):
+                if pair not in expanded:
+                    expanded.add(pair)
+                    fresh = {*pair[0], *products[pair]} - reached
+                    reached |= fresh
+                    stack.extend(fresh)
+        if reached != set(members):
+            problems.append(f"steps from {members[0]} reach {len(reached)} indices, "
+                            f"its class has {len(members)}")
+    return problems
+
+
 def _without(occupants: tuple, index: int) -> tuple:
     position = occupants.index(index)
     return occupants[:position] + occupants[position + 1 :]

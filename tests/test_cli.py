@@ -106,6 +106,54 @@ def test_validate_echoes_a_bounded_part_of_a_huge_dimension(tmp_path, capsys):
     assert len(lines[0].encode()) < 300 and not captured.err
 
 
+def test_twenty_thousand_violations_make_one_short_error_line(tmp_path, capsys):
+    # Every placement of a 10 x 1000 shape, each targeting 10: the joined
+    # violations made a 728,896-byte error line.
+    entries = [
+        {"slots": slots, "target": 10, "coeff": 1}
+        for i in range(10) for j in range(1000)
+        for slots in ([{"m": i}, {"s": j}], [{"s": j}, {"m": i}])
+    ]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "kind": "k-module",
+        "n": 2, "k": 1, "module_dim": 10, "space_dim": 1000, "entries": entries,
+    }))
+    with pytest.raises(modbasis.ValidationError) as info:
+        read_document(path)
+    assert len(info.value.violations) == 20_000
+    assert cli_main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20_000
+    assert lines[-1] == "invalid: entry 19999: target 10 outside 0..9"
+    assert cli_main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err == (
+        "error: entry 0: target 10 outside 0..9; "
+        "entry 2: target 10 outside 0..9 and 19998 more\n"
+    )
+
+
+def test_the_longest_violations_fit_the_error_line(tmp_path, capsys):
+    # Three messages that each echo two values at full width: the two that
+    # the error line shows still fit in 300 bytes.
+    huge = "9" * 4300
+    path = tmp_path / "doc.json"
+    path.write_text(
+        '{"format_version": 1, "kind": "k-module", "n": 2, "k": 1,'
+        f' "module_dim": {huge}, "space_dim": {huge}, "entries": ['
+        + ", ".join(
+            f'{{"slots": [{{"m": -{huge}}}, {{"s": {space}}}], "target": 0, "coeff": 1}}'
+            for space in range(1000, 1003)
+        )
+        + "]}"
+    )
+    assert cli_main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("module index -") == 2 and "and 1 more" in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300
+
+
 _HUGE = "9" * 4000
 
 

@@ -48,6 +48,7 @@ from helpers import (
     assert_mu_matches_scan,
     chain_table,
     corpus_spec,
+    partition_problems,
     reference_connection,
     support_steps,
 )
@@ -124,6 +125,11 @@ def test_mu_matches_the_direct_scan_on_a_large_k2_table():
         step = Step(direction, (rng.randrange(60),), (rng.randrange(3),))
         probes.append((step, rng.sample(range(60), 6)))
     assert_mu_matches_scan(structure, probes)
+
+
+def test_the_partition_of_a_large_k2_table_passes_the_linear_check():
+    structure = chain_table(1, 10_000, 50_000)
+    assert partition_problems(structure, components(structure)) == []
 
 
 def test_forward_edges_fixture_values(e1, e2, e3):
@@ -233,7 +239,7 @@ def test_oracle_without_module_indices_takes_no_step(monkeypatch):
     assert components_oracle(structure, 1) == ComponentPartition([])
 
 
-def test_each_edge_lists_its_placements_once_smallest_first():
+def test_each_edge_lists_its_placements_once():
     # Placements that repeat an occupant, filed in no order, reach an
     # edge's list twice unless the build skips them.
     structure = chain_table(1)
@@ -245,7 +251,6 @@ def test_each_edge_lists_its_placements_once_smallest_first():
     assert {edge: set(placements) for edge, placements in edges.items()} == expected
     for placements in edges.values():
         assert len(placements) == len(set(placements))
-        assert placements[0] == min(placements)
 
 
 def _names(code) -> set[str]:
@@ -258,7 +263,8 @@ def _names(code) -> set[str]:
 
 
 def test_the_fast_path_and_the_oracle_share_no_code():
-    # The oracle is a check only while neither side calls into the other.
+    # The oracle is a check only while neither side calls into the other,
+    # and the linear partition check only while it calls into neither.
     fast = (
         connections._edge_step, connections._step_args, connections._Index.images,
         connections._image, connections.mu, connections.phi,
@@ -275,6 +281,10 @@ def test_the_fast_path_and_the_oracle_share_no_code():
     for function in (connections.components_oracle, connections._mu_by_scan):
         named = _names(function.__code__)
         assert not named & fast_only, function.__qualname__
+    # The linear partition check names nothing that connections defines or
+    # imports, so it shares no code with either path.
+    named = _names(partition_problems.__code__)
+    assert not named & set(vars(connections)), named & set(vars(connections))
 
 
 def test_partition_api(e1):

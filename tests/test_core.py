@@ -4,19 +4,25 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import modbasis
 from modbasis import (
     FORWARD,
     CollisionError,
     DimensionError,
     KModuleStructure,
     NAryAlgebra,
+    NotASubmodule,
     SigmaEntry,
     Step,
+    SymmetrizeConflict,
+    ValidationError,
     components,
     evaluate,
     from_sigma_entries,
@@ -427,3 +433,27 @@ def test_freeze_table_rejects_values_that_are_not_pairs(value, error, message):
     with pytest.raises(error) as info:
         KModuleStructure(2, 1, 3, 1, {(M(0), S(0)): value})
     assert str(info.value) == message
+
+
+def test_the_raising_index_rule_lives_only_in_core():
+    # Every query checks its indices with core._check_index.  A copy of the
+    # rule that raises elsewhere can drift from its message or its class;
+    # core keeps validate's reporting copies, so the pattern must match there.
+    rule = re.compile(r"type\((\w+)\) is not int or not 0 <= \1 <")
+    sources = sorted(Path(modbasis.__file__).parent.glob("*.py"))
+    copies = [path.name for path in sources if rule.search(path.read_text())]
+    assert copies == ["core.py"]
+
+
+@pytest.mark.parametrize("error, items", [
+    (NotASubmodule({9, 3, 5}), "indices"),
+    (SymmetrizeConflict([(i, i + 1) for i in range(8)]), "edges"),
+    (ValidationError([f"entry {i}: stored coefficient is zero" for i in range(4)]),
+     "violations"),
+], ids=["NotASubmodule", "SymmetrizeConflict", "ValidationError"])
+def test_errors_that_carry_items_survive_pickling(error, items):
+    # A process pool sends an exception back pickled: the copy must keep
+    # every item and show the same message.
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert getattr(copy, items) == getattr(error, items)

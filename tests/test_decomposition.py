@@ -110,6 +110,7 @@ def test_restrict_echoes_a_bounded_part_of_a_large_open_set():
         restrict(path, range(10, size - 10))
     message = str(info.value)
     assert message == "[10, 11, 12, 13, 14, 15, ...] is not closed under the table"
+    assert info.value.indices == frozenset(range(10, size - 10))
     assert len(message.encode()) < 300  # test_hostile's bound on one line
 
 

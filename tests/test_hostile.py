@@ -5,9 +5,10 @@ generator's output: odd values in headers, slots, targets and
 coefficients, duplicates (in pairs also behind algebra entries), broken
 shapes, truncated or deeply nested text, and large arities with no
 entries.  Every document must give a clean exit code, a one-line error
-on exit 2, a usable answer once it validates (a pairing report for a
-pair), and a byte-stable write.  Library-built pairs get the same odd
-values: each either raises ValidationError or ArityMismatch or pairs.
+on exit 2, the same from ``decompose`` when ``validate`` rejects it, a
+usable answer once it validates (a pairing report for a pair), and a
+byte-stable write.  Library-built pairs get the same odd values: each
+either raises ValidationError or ArityMismatch or pairs.
 """
 
 from __future__ import annotations
@@ -176,16 +177,28 @@ def _misplaced(out: str, slots: list) -> list:
     return wrong
 
 
+def _one_short_line(out: str, err: str) -> bool:
+    """The promise of exit 2: nothing on stdout, one line under 300 bytes
+    on stderr."""
+    return not out and err.count("\n") == 1 and len(err.encode()) < 300
+
+
 def _check(path, doc) -> tuple:
     """validate's exit code, and every broken promise for one document."""
     problems = []
     code, out, err = _run(["validate", str(path)])
     if code not in (0, 1, 2):
         problems.append(f"validate exit {code}")
-    if code == 2 and (out or err.count("\n") != 1 or len(err.encode()) >= 300):
+    if code == 2 and not _one_short_line(out, err):
         problems.append(f"exit 2 output {err[:200]!r}")
     if any(len(line.encode()) >= 300 for line in out.splitlines()):
         problems.append("validate printed a line of 300 bytes or more")
+    if code == 1:
+        # The violations that validate lists one per line, a structure
+        # command reports on its one error line.
+        decompose = _run(["decompose", str(path)])
+        if decompose[0] != 2 or not _one_short_line(*decompose[1:]):
+            problems.append(f"decompose exit {decompose[0]}: {decompose[2][:200]!r}")
     if code == 1 and doc["kind"] == "k-module":
         problems += _misplaced(out, [entry["slots"] for entry in doc["entries"]])
     if code != 0:

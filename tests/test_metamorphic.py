@@ -3,7 +3,8 @@
 The acceptance corpus stops at 5 module indices.  These tables have
 n=2, k=1 and one space index, so ``random_structure`` draws from only
 2 * module_dim placements, and the relations below check ``components``
-where no expected partition can be written down by hand.
+where no expected partition can be written down by hand, as does the
+linear-time check in ``helpers``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from modbasis import (
+    ComponentPartition,
     GenSpec,
     KModuleStructure,
     MODULE_TAG,
@@ -23,6 +25,8 @@ from modbasis import (
     verify_orthogonality,
     verify_submodule,
 )
+
+from helpers import partition_problems
 
 MODULE_DIM = 2000
 SEEDS = (1, 2, 3)
@@ -53,6 +57,22 @@ def test_every_class_is_a_submodule(seed):
     assert 1 < len(classes) < MODULE_DIM
     assert all(verify_submodule(structure, cls) for cls in classes)
     assert verify_orthogonality(structure, partition)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_partition_passes_the_linear_check(seed):
+    structure = _large(seed)
+    partition = components(structure)
+    assert partition_problems(structure, partition) == []
+    # The check has teeth: two classes merged, or one index split off the
+    # largest class, fail it.
+    first, second, *_ = (cls[0] for cls in partition.classes() if len(cls) > 1)
+    reps = [partition.representative(i) for i in range(MODULE_DIM)]
+    merged = ComponentPartition([first if rep == second else rep for rep in reps])
+    assert partition_problems(structure, merged)
+    loner = max(partition.classes(), key=len)[-1]
+    split = ComponentPartition([i if i == loner else rep for i, rep in enumerate(reps)])
+    assert partition_problems(structure, split)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
