@@ -12,7 +12,7 @@ and exists purely as the slow cross-check for the fast path.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import itemgetter
@@ -307,29 +307,20 @@ def components(structure: KModuleStructure) -> ComponentPartition:
 
 def _all_steps(structure: KModuleStructure, charge: int, budget: int) -> list[Step]:
     # Raises BudgetError, before building them, once the next two steps
-    # would pass ``budget`` at ``charge`` per step.
-    module_choices = combinations_with_replacement(
-        range(structure.module_dim), structure.k - 1
-    )
+    # would pass ``budget`` at ``charge`` per step.  Each call copies a pool
+    # that is not a tuple, so a slot count of 0 draws from an empty pool and
+    # every module choice shares one space tuple.
+    k, n = structure.k, structure.n
+    module_pool = range(structure.module_dim) if k > 1 else ()
+    space_pool = tuple(range(structure.space_dim)) if n > k else ()
     steps = []
-    for module_args in module_choices:
-        for space_args in combinations_with_replacement(
-            range(structure.space_dim), structure.n - structure.k
-        ):
+    for module_args in combinations_with_replacement(module_pool, k - 1):
+        for space_args in combinations_with_replacement(space_pool, n - k):
             if (len(steps) + 2) * charge > budget:
                 raise BudgetError(f"chain enumeration passed {budget} candidates")
             steps.append(Step(FORWARD, module_args, space_args))
             steps.append(Step(BACKWARD, module_args, space_args))
     return steps
-
-
-def _multiset_minus(whole: tuple, part: tuple) -> Optional[tuple]:
-    counts = Counter(whole)
-    for item in part:
-        if counts[item] == 0:
-            return None
-        counts[item] -= 1
-    return tuple(item for item, count in counts.items() for _ in range(count))
 
 
 def _mu_by_scan(entries, index: int, step: Step) -> set[int]:
@@ -344,9 +335,14 @@ def _mu_by_scan(entries, index: int, step: Step) -> set[int]:
         for occupants, spaces, target in entries:
             if target != index or spaces != step.space_args:
                 continue
-            leftover = _multiset_minus(occupants, step.module_args)
-            if leftover is not None and len(leftover) == 1:
-                found.add(leftover[0])
+            rest = list(occupants)
+            for arg in step.module_args:
+                if arg not in rest:
+                    break
+                rest.remove(arg)
+            else:
+                if len(rest) == 1:
+                    found.add(rest[0])
     return found
 
 
@@ -378,7 +374,10 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
     steps = (_all_steps(structure, charge + structure.n - 1, budget)
              if structure.module_dim > 0 else [])
     cost = 0
-    cells: list[set[int]] = []
+    # Each reached index maps to its cell.  A cell that merges reach sets
+    # holds only indices some entry touches, at most (k + 1) * len(entries),
+    # so merging costs at most k + 1 times what a start's first scan charged.
+    cell_of: dict[int, set[int]] = {}
     for start in range(structure.module_dim):
         reached = {start}
         frontier = [start]
@@ -398,18 +397,14 @@ def components_oracle(structure: KModuleStructure, max_depth: int) -> ComponentP
                             reached.add(found)
                             next_frontier.append(found)
             frontier = next_frontier
-        cell = set(reached)
-        overlapping = [other for other in cells if other & cell]
-        for other in overlapping:
-            cells.remove(other)
-            cell |= other
-        cells.append(cell)
-    representatives = [0] * structure.module_dim
-    for cell in cells:
-        rep = min(cell)
+        cell = set()
+        for member in reached:
+            if member not in cell:
+                cell |= cell_of.get(member, {member})
         for member in cell:
-            representatives[member] = rep
-    return ComponentPartition(representatives)
+            cell_of[member] = cell
+    # A label per cell; the partition names each class by its minimum.
+    return ComponentPartition(id(cell_of[index]) for index in range(structure.module_dim))
 
 
 def _edge_step(edges: dict, here: int, there: int) -> Step:

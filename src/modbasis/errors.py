@@ -16,6 +16,10 @@ _SHOWN_EDGES = 5
 # all.  A message of ``validate`` or the reader is at most about 120 bytes,
 # so two, the count and ``error: `` fit in the CLI's 300-byte error line.
 _SHOWN_VIOLATIONS = 2
+# A violation past this many bytes, such as one that ``pairing`` prefixes
+# with a key of huge indices, shows only its two ends: two such, the count
+# and ``error: `` still fit in the 300-byte line.
+_SHOWN_BYTES = 135
 
 
 def echo(value) -> str:
@@ -30,6 +34,15 @@ def _first_few(items, shown: int, show=str, separator: str = ", ") -> str:
     text = separator.join(show(item) for item in items[:shown])
     more = len(items) - shown
     return f"{text} and {more} more" if more > 0 else text
+
+
+def _clip(text: str) -> str:
+    """``text``, or past ``_SHOWN_BYTES`` bytes its two ends around ``...``."""
+    data = text.encode()
+    if len(data) <= _SHOWN_BYTES:
+        return text
+    half = (_SHOWN_BYTES - 3) // 2
+    return f"{data[:half].decode(errors='ignore')}...{data[-half:].decode(errors='ignore')}"
 
 
 class ModBasisError(Exception):
@@ -109,4 +122,5 @@ class ValidationError(DocumentError):
         if isinstance(violations, str):
             violations = [violations]
         self.violations = tuple(violations)
-        super().__init__(_first_few(self.violations, _SHOWN_VIOLATIONS, separator="; "))
+        super().__init__(
+            _first_few(self.violations, _SHOWN_VIOLATIONS, _clip, separator="; "))

@@ -1,6 +1,6 @@
 """Print how ``read_document`` and the CLI treat a seeded run of hostile documents.
 
-    PYTHONPATH=src python tests/outcomes.py [--cli] SEED COUNT > outcomes.txt
+    PYTHONPATH=src python tests/outcomes.py [--cli | --digests] SEED COUNT > outcomes.txt
 
 The documents are those of ``test_hostile``: the same sources, drawn and
 mutated the same way, from ``random.Random(SEED)``.  Each line is the
@@ -18,7 +18,12 @@ of 10^4, past which they cost time in proportion to that dimension.
 Run it on two checkouts with
 the same arguments and compare the files: equal output means both read
 every document to the same bytes or fail with the same message, and
-print the same bytes with the same exit codes.  pytest does not collect
+print the same bytes with the same exit codes.  With ``--digests``, each
+document gets one line instead: its number and the sha256 of the lines
+that ``--cli`` prints for it, each ended by a newline.
+``test_outcomes`` holds ``--digests 1 300`` to ``hostile_digests.txt``;
+a change that alters an output on purpose regenerates that file.  Each
+document is written to a new file of its own.  pytest does not collect
 this file.
 """
 
@@ -70,25 +75,43 @@ def cli_outcomes(path: Path, doc: dict) -> list[str]:
     return lines
 
 
-def main(argv) -> int:
-    cli = argv[:1] == ["--cli"]
-    if cli:
-        argv = argv[1:]
-    if len(argv) != 2:
-        print("usage: outcomes.py [--cli] SEED COUNT", file=sys.stderr)
-        return 2
-    seed, count = int(argv[0]), int(argv[1])
+def documents(seed: int, count: int, directory: Path):
+    """Yield each document's number, the new file in ``directory`` that it
+    was written to, and the document as drawn."""
     rng = random.Random(seed)
     sources = _sources()
+    for number in range(count):
+        doc, text = _draw(rng, sources[number % len(sources)])
+        path = directory / f"doc{number}.json"
+        path.write_text(text)
+        yield number, path, doc
+
+
+def cli_lines(number: int, path: Path, doc: dict) -> list[str]:
+    """The lines ``--cli`` prints for one document."""
+    return [f"{number} {line}" for line in [outcome(path), *cli_outcomes(path, doc)]]
+
+
+def digest(lines: list[str]) -> str:
+    return _sha("".join(line + "\n" for line in lines))
+
+
+def main(argv) -> int:
+    mode = argv[0] if argv[:1] in (["--cli"], ["--digests"]) else None
+    if mode:
+        argv = argv[1:]
+    if len(argv) != 2:
+        print("usage: outcomes.py [--cli | --digests] SEED COUNT", file=sys.stderr)
+        return 2
+    seed, count = int(argv[0]), int(argv[1])
     with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "doc.json"
-        for number in range(count):
-            doc, text = _draw(rng, sources[number % len(sources)])
-            path.write_text(text)
-            print(number, outcome(path))
-            if cli:
-                for line in cli_outcomes(path, doc):
-                    print(number, line)
+        for number, path, doc in documents(seed, count, Path(directory)):
+            if mode == "--digests":
+                print(number, digest(cli_lines(number, path, doc)))
+            elif mode == "--cli":
+                print(*cli_lines(number, path, doc), sep="\n")
+            else:
+                print(number, outcome(path))
     return 0
 
 

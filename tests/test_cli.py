@@ -556,6 +556,20 @@ def test_a_dimension_past_the_platform_index_size_is_no_traceback(tmp_path, argv
         assert "dimension" in result.stderr
 
 
+def test_the_oracle_merges_reach_sets_without_rescanning_cells(tmp_path):
+    # Each start intersected its reach set with every earlier cell, which
+    # is quadratic in module_dim: past this test's 60 s timeout at 10^5
+    # indices, where the map from index to cell takes about 0.2 s.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_empty_document(2, 1, 10**5, 1)))
+    env = {**os.environ, "PYTHONPATH": str(Path(modbasis.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "modbasis.cli", "oracle", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout == "partitions agree (100000 classes)\n"
+
+
 def test_paused_oracle_stays_within_its_budget_memory(tmp_path):
     # No step fits the budget, so the command adds next to nothing to what
     # the interpreter and the library take (18 MB in all on CPython 3.11);

@@ -219,6 +219,9 @@ def test_oracle_budget_stops_the_step_list(monkeypatch):
         # built before the budget stopped them; charged for its arguments
         # too, none is.
         (KModuleStructure(10**5, 1, 1, 3, {}), 50),
+        # k = 1 draws no module argument, yet the choices copied all 10^6
+        # module indices into a tuple first (38 MB).
+        (KModuleStructure(2, 1, 10**6, 1, {}), 1),
     ]
     for structure, budget in inputs:
         monkeypatch.setenv("MODBASIS_BUDGET", str(budget))

@@ -21,6 +21,7 @@ from modbasis import (
     verify_ideal,
 )
 from modbasis import module_slot as M, space_slot as S
+from modbasis.errors import echo
 
 from conftest import make_e4
 from helpers import random_pair
@@ -203,3 +204,18 @@ def test_invalid_tables_raise_validation_error(build, pair, violations):
         build(pair)
     assert caught.value.violations == violations
 
+
+def test_a_pair_with_huge_indices_keeps_its_error_line_short():
+    # Each violation that pairing shows names the action key, here three
+    # 61-digit indices, so the two shown made a 466-byte message.
+    big = int("7" * 61)
+    table = {(M(big + i), M(big + i + 1), S(big + i + 2)): (big + i + 3, 1)
+             for i in range(3)}
+    pair = ModuleOverAlgebra(NAryAlgebra(3, 2, {}), KModuleStructure(3, 2, 2, 2, table))
+    with pytest.raises(ValidationError) as caught:
+        pairing(pair)
+    assert len(f"error: {caught.value}".encode()) < 300
+    assert str(caught.value).endswith(" outside 0..1 and 10 more")
+    # The violations themselves are kept whole.
+    assert caught.value.violations[0] == (
+        f"action {echo(sorted(table)[0])}: module index {echo(big)} outside 0..1")
